@@ -189,7 +189,6 @@ def verify_fs_bernardi(
     two, three = deformation_numbers(bp.base)
     report = fs_bound_bernardi(kind, mu, phi, bp)
     L2, L3 = bernardi_factor(2, bp), bernardi_factor(3, bp)
-    w1, w2, c1, c2 = _oracle._caratheodory_samples(cfg)
-    a2, a3 = _oracle._member_arrays(kind, phi, two, three, c1, c2)
+    w1, w2, a2, a3 = _oracle._member_samples(kind, phi, two, three, cfg)
     values = abs(L3 * a3 - mu * (L2 * a2) ** 2)
     return _oracle._record(mu, report.value, values, w1, w2, report.branch, cfg)

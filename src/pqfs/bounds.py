@@ -24,6 +24,8 @@ Everything is pure and immutable; concurrent sweeps need no locking.
 
 from __future__ import annotations
 
+import cmath
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -51,8 +53,8 @@ class BoundReport:
     thresholds: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not self.value >= 0.0:
-            raise DomainError(f"bound value must be nonnegative, got {self.value!r}")
+        if not 0.0 <= self.value < math.inf:
+            raise DomainError(f"bound value must be finite and nonnegative, got {self.value!r}")
 
 
 def ma_minda_bound(mu: complex) -> float:
@@ -89,7 +91,12 @@ def fs_scales(kind: ClassKind, two: float, three: float) -> tuple[float, float, 
 
 def _max_arg(kind: ClassKind, mu: complex, phi: MaMindaTarget, two: float, three: float) -> complex:
     """arg = b2/b1 + (b1/B)(1 - K mu), the quantity whose modulus is compared
-    with 1 inside the max-form bound; equals 1 - 2 v(mu)."""
+    with 1 inside the max-form bound; equals 1 - 2 v(mu).
+
+    A NaN or infinite mu is a domain error here, the one place every form
+    goes through: max(1, |arg|) would otherwise turn a NaN arg into 1."""
+    if not cmath.isfinite(mu):
+        raise DomainError(f"mu must be finite, got mu={mu!r}")
     A, B, E = fs_scales(kind, two, three)
     K = A * B / (E * E)
     return phi.b2 / phi.b1 + (phi.b1 / B) * (1.0 - K * mu)

@@ -15,6 +15,7 @@ All types are immutable and every constructor is re-entrant.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -31,9 +32,9 @@ FEASIBILITY_TOL = 1e-12
 class MaMindaTarget:
     """Target function phi(z) = 1 + b1 z + b2 z^2 + ... by its coefficients.
 
-    The coefficients are real; b1 must be nonzero.  Only b1 and b2 enter
-    the bound formulas, but further coefficients are kept so composed
-    expansions of phi(w(z)) stay available at higher order.
+    The coefficients are real and finite; b1 must be nonzero.  Only b1
+    and b2 enter the bound formulas, but further coefficients are kept so
+    composed expansions of phi(w(z)) stay available at higher order.
     """
 
     b: tuple[float, ...]
@@ -42,6 +43,8 @@ class MaMindaTarget:
         bs = tuple(float(x) for x in b)
         if not bs:
             raise DomainError("target needs at least the coefficient b1")
+        if not all(math.isfinite(x) for x in bs):
+            raise DomainError(f"target coefficients must be finite, got {bs!r}")
         if bs[0] == 0.0:
             raise DomainError("target needs b1 != 0")
         object.__setattr__(self, "b", bs)

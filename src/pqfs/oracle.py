@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -34,6 +35,9 @@ from .classes import ClassKind, MaMindaTarget, SchwarzJet, deformation_numbers
 from .pq_core import DomainError, PQParams
 
 DEFAULT_SEED = 20259
+
+#: Largest number of mu points one sweep may verify.
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,8 @@ class OracleConfig:
             raise DomainError(f"grid_density must be >= 8, got {self.grid_density}")
         if self.random_samples < 0:
             raise DomainError(f"random_samples must be >= 0, got {self.random_samples}")
-        if not self.tolerance > 0.0:
-            raise DomainError(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -201,20 +205,44 @@ def brute_force_caratheodory_piecewise(
     return _record(v, 2.0, values, w1, w2, branch, cfg)
 
 
-def _member_arrays(
-    kind: ClassKind,
-    phi: MaMindaTarget,
-    two: float,
-    three: float,
-    c1: np.ndarray,
-    c2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    # Vectorized form of the member-jet constructors in classes.py.
+def _member_samples(
+    kind: ClassKind, phi: MaMindaTarget, two: float, three: float, cfg: OracleConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(w1, w2, a2, a3): the sampled jets and their member arrays, a
+    vectorized form of the member-jet constructors in classes.py.  The
+    Caratheodory arrays c1, c2 are dropped on return."""
     A, B, E = fs_scales(kind, two, three)
     b1, b2 = phi.b1, phi.b2
+    w1, w2, c1, c2 = _caratheodory_samples(cfg)
     a2 = b1 * c1 / (2.0 * E)
     a3 = b1 / (2.0 * A) * (c2 - 0.5 * (1.0 - b2 / b1 - b1 / B) * c1 * c1)
-    return a2, a3
+    return w1, w2, a2, a3
+
+
+def _fs_verifier(
+    kind: ClassKind, phi: MaMindaTarget, params: PQParams, cfg: OracleConfig
+) -> Callable[[complex], VerificationRecord]:
+    """Build the mu-invariant member arrays once and return the per-mu check.
+
+    The returned function computes the bound report, |a3 - mu a2^2| into
+    two buffers owned by this closure, and the argmax.  The buffered steps
+    are the ufuncs of ``abs(a3 - mu * a2 * a2)`` in the same order, so the
+    values match that expression bit for bit.
+    """
+    two, three = deformation_numbers(params)
+    w1, w2, a2, a3 = _member_samples(kind, phi, two, three, cfg)
+    t = np.empty_like(a2)
+    values = np.empty(a2.shape)
+
+    def verify(mu: complex) -> VerificationRecord:
+        report: BoundReport = fs_bound_from_numbers(kind, mu, phi, two, three, params.p, params.q)
+        np.multiply(mu, a2, out=t)
+        np.multiply(t, a2, out=t)
+        np.subtract(a3, t, out=t)
+        np.abs(t, out=values)
+        return _record(mu, report.value, values, w1, w2, report.branch, cfg)
+
+    return verify
 
 
 def verify_fs(
@@ -222,12 +250,7 @@ def verify_fs(
 ) -> VerificationRecord:
     """Maximize |a3 - mu a2^2| over member jets built from the sampled body
     and compare with the max-form bound."""
-    two, three = deformation_numbers(params)
-    w1, w2, c1, c2 = _caratheodory_samples(cfg)
-    a2, a3 = _member_arrays(kind, phi, two, three, c1, c2)
-    values = np.abs(a3 - mu * a2 * a2)
-    report: BoundReport = fs_bound_from_numbers(kind, mu, phi, two, three, params.p, params.q)
-    return _record(mu, report.value, values, w1, w2, report.branch, cfg)
+    return _fs_verifier(kind, phi, params, cfg)(mu)
 
 
 def verify_refined(
@@ -246,8 +269,7 @@ def verify_refined(
         raise DomainError(
             f"refined forms need mu in ({t1:.6g}, {t2:.6g}) split at {t3:.6g}, got mu={mu:.6g}"
         )
-    w1, w2, c1, c2 = _caratheodory_samples(cfg)
-    a2, a3 = _member_arrays(kind, phi, two, three, c1, c2)
+    w1, w2, a2, a3 = _member_samples(kind, phi, two, three, cfg)
     values = np.abs(a3 - mu * a2 * a2) + penalty * np.abs(a2) ** 2
     A, _, _ = fs_scales(kind, two, three)
     return _record(mu, phi.b1 / A, values, w1, w2, branch, cfg)
@@ -265,18 +287,35 @@ def sweep(
     Entries come back in increasing mu order; a mu whose bound is not
     defined (degenerate parameters) is recorded as a domain skip instead
     of aborting the sweep.  An empty range (lo >= hi) yields no entries.
+    Non-finite endpoints or step, a step <= 0 and a range of more than
+    ``MAX_SWEEP_POINTS`` points are domain errors.
+
+    The member arrays do not depend on mu, so they are built once per
+    call and every mu reuses them; each record is bit-identical to the
+    one ``verify_fs`` returns for that mu.
     """
     lo, hi, step = mu_range
+    if not all(math.isfinite(x) for x in mu_range):
+        raise DomainError(f"sweep range needs finite lo, hi and step, got {lo:g}:{hi:g}:{step:g}")
     if not step > 0.0:
         raise DomainError(f"sweep step must be > 0, got {step:g}")
     if not lo < hi:
         return []
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step  # inf when the division overflows
+    count = math.floor(span + 1e-9) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_SWEEP_POINTS:
+        raise DomainError(
+            f"sweep range {lo:g}:{hi:g}:{step:g} has more than {MAX_SWEEP_POINTS} points"
+        )
+    mus = [lo + k * step for k in range(count)]
+    try:
+        verify = _fs_verifier(kind, phi, params, cfg)
+    except DomainError as exc:
+        return [SweepEntry(mu=mu, record=None, error=str(exc)) for mu in mus]
     entries: list[SweepEntry] = []
-    for k in range(count + 1):
-        mu = lo + k * step
+    for mu in mus:
         try:
-            entries.append(SweepEntry(mu=mu, record=verify_fs(kind, mu, phi, params, cfg)))
+            entries.append(SweepEntry(mu=mu, record=verify(mu)))
         except DomainError as exc:
             entries.append(SweepEntry(mu=mu, record=None, error=str(exc)))
     return entries

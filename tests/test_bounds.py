@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,26 @@ class TestMaxFormBounds:
         with pytest.raises(DomainError, match=r"p \+ q > 1"):
             fs_bound_starlike(0.0, KOEBE, PQParams(0.5, 0.2))
 
+    # max(1, nan) is 1, so a NaN mu used to give a finite, plausible bound
+    @pytest.mark.parametrize(
+        "mu", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0), complex(1.0, math.inf)]
+    )
+    @pytest.mark.parametrize("fn", [fs_bound_starlike, fs_bound_convex])
+    def test_non_finite_mu_rejected(self, fn, mu):
+        with pytest.raises(DomainError, match="mu must be finite"):
+            fn(mu, KOEBE, PQ)
+
+    @pytest.mark.parametrize(
+        "b", [(math.nan, 1.0), (2.0, math.nan), (math.inf, 0.0), (1.0, 0.5, -math.inf)]
+    )
+    def test_non_finite_target_rejected(self, b):
+        with pytest.raises(DomainError, match="finite"):
+            MaMindaTarget(b)
+
+    def test_overflowing_bound_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            fs_bound_starlike(1e308, KOEBE, PQ)
+
 
 class TestThresholds:
     def test_sigma_classical_koebe(self):
@@ -157,6 +179,11 @@ class TestPiecewiseBounds:
     def test_complex_mu_rejected(self):
         with pytest.raises(DomainError):
             fs_piecewise_starlike(1 + 1j, KOEBE, CLASSIC)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(DomainError):
+            fs_piecewise_starlike(mu, KOEBE, PQ)
 
     def test_branch_agreement_random(self):
         rng = np.random.default_rng(17)

@@ -2,6 +2,8 @@ import csv
 import subprocess
 import sys
 
+import pytest
+
 from pqfs.cli import main
 
 FAST = ["--grid", "12", "--samples", "2000"]
@@ -54,6 +56,19 @@ class TestBoundCommand:
         )
         assert code == 2
         assert "p + q > 1" in err
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "1+nanj"])
+    def test_non_finite_mu_exit_2(self, capsys, mu):
+        # max(1, nan) used to let a NaN mu print 2.81690140845 and exit 0
+        code, out, err = run(["bound", "--p", "0.9", "--q", "0.6", "--mu", mu], capsys)
+        assert code == 2
+        assert out == ""
+        assert "mu must be finite" in err
+
+    def test_non_finite_phi_exit_2(self, capsys):
+        code, _, err = run(["bound", "--phi", "2,nan", "--p", "0.9", "--q", "0.6", "--mu", "0"], capsys)
+        assert code == 2
+        assert "finite" in err
 
     def test_malformed_phi_exit_2(self, capsys):
         code, _, err = run(["bound", "--phi", "koe,be", "--p", "1", "--q", "1", "--mu", "0"], capsys)
@@ -108,6 +123,14 @@ class TestVerifyCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "mu,theoretical,empirical,gap,branch,status"
         assert len(lines) == 2
+
+    def test_infinite_tolerance_exit_2(self, capsys):
+        code, out, err = run(
+            ["verify", "--p", "0.9", "--q", "0.6", "--mu", "0", "--tol", "inf", *FAST], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
 
     def test_violation_exits_1(self, capsys, monkeypatch):
         # the bounds are sound, so a violating record has to be injected
@@ -165,6 +188,22 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "empty sweep" in err
+
+    @pytest.mark.parametrize("mu_range", ["0:inf:1", "0:1:inf", "nan:1:0.5"])
+    def test_non_finite_range_exit_2(self, capsys, mu_range):
+        # these used to end in a traceback, a NaN mu row, or "empty sweep range"
+        code, out, err = run(
+            ["sweep", "--p", "0.9", "--q", "0.6", f"--mu-range={mu_range}", *FAST], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_too_many_points_exit_2(self, capsys):
+        code, out, err = run(["sweep", "--p", "1", "--q", "1", "--mu-range=0:1:1e-9", *FAST], capsys)
+        assert code == 2
+        assert out == ""
+        assert "more than" in err
 
     def test_byte_identical_with_same_seed(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from pqfs.bounds import fs_bound_starlike
 from pqfs.classes import MaMindaTarget
 from pqfs.oracle import (
+    MAX_SWEEP_POINTS,
     OracleConfig,
     brute_force_caratheodory_max,
     brute_force_caratheodory_piecewise,
@@ -28,7 +31,15 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(grid_density=7), dict(tolerance=0.0), dict(tolerance=-1.0), dict(random_samples=-5)],
+        [
+            dict(grid_density=7),
+            dict(tolerance=0.0),
+            dict(tolerance=-1.0),
+            dict(random_samples=-5),
+            # an infinite tolerance would pass every check without testing anything
+            dict(tolerance=math.inf),
+            dict(tolerance=math.nan),
+        ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -160,6 +171,47 @@ class TestSweep:
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError):
             sweep("starlike", (0.0, 1.0, 0.0), KOEBE, CLASSIC, CFG)
+
+    @pytest.mark.parametrize(
+        "mu_range",
+        [(0.0, math.inf, 1.0), (0.0, 1.0, math.inf), (math.nan, 1.0, 0.5), (-math.inf, 0.0, 1.0)],
+    )
+    def test_non_finite_range_rejected(self, mu_range):
+        with pytest.raises(DomainError, match="finite"):
+            sweep("starlike", mu_range, KOEBE, CLASSIC, CFG)
+
+    @pytest.mark.parametrize("mu_range", [(0.0, 1.0, 1e-9), (-1e308, 1e308, 1.0)])
+    def test_too_many_points_rejected(self, mu_range):
+        with pytest.raises(DomainError, match=str(MAX_SWEEP_POINTS)):
+            sweep("starlike", mu_range, KOEBE, CLASSIC, CFG)
+
+    def test_point_limit_is_inclusive(self):
+        # exactly MAX_SWEEP_POINTS points pass the check; the params make every
+        # entry a cheap domain skip
+        entries = sweep("starlike", (0.0, MAX_SWEEP_POINTS - 1.0, 1.0), KOEBE, PQParams(0.5, 0.2), CFG)
+        assert len(entries) == MAX_SWEEP_POINTS
+
+    @pytest.mark.parametrize("kind, params", [("starlike", PQParams(0.5, 0.2)), ("bogus", CLASSIC)])
+    def test_setup_domain_error_keeps_its_text(self, kind, params):
+        with pytest.raises(DomainError) as info:
+            verify_fs(kind, 0.0, KOEBE, params, CFG)
+        entries = sweep(kind, (0.0, 1.0, 0.25), KOEBE, params, CFG)
+        assert [e.mu for e in entries] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert all(e.record is None and e.error == str(info.value) for e in entries)
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    @pytest.mark.parametrize("params", [PQ, CLASSIC], ids=["pq", "classic"])
+    def test_records_bit_identical_to_verify_fs(self, kind, params):
+        entries = sweep(kind, (-2.0, 3.0, 0.25), KOEBE, params, CFG)
+        assert len(entries) == 21
+        for e in entries:
+            r, single = e.record, verify_fs(kind, e.mu, KOEBE, params, CFG)
+            assert r.theoretical.hex() == single.theoretical.hex()
+            assert r.empirical_max.hex() == single.empirical_max.hex()
+            assert r.gap.hex() == single.gap.hex()
+            assert r.witness == single.witness
+            assert r.branch == single.branch
+            assert r.attained == single.attained
 
     def test_summary_counts(self):
         entries = sweep("starlike", (0.0, 1.0, 0.5), KOEBE, CLASSIC, CFG)
