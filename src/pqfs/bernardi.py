@@ -44,7 +44,8 @@ class BernardiParams:
     base: PQParams
 
     def __post_init__(self) -> None:
-        if not isinstance(self.c, int) or self.c < 0:
+        # bool is an int subclass, but True is not an operator order
+        if isinstance(self.c, bool) or not isinstance(self.c, int) or self.c < 0:
             raise DomainError(f"operator order c must be an integer >= 0, got {self.c!r}")
 
 
@@ -189,6 +190,6 @@ def verify_fs_bernardi(
     two, three = deformation_numbers(bp.base)
     report = fs_bound_bernardi(kind, mu, phi, bp)
     L2, L3 = bernardi_factor(2, bp), bernardi_factor(3, bp)
-    w1, w2, a2, a3 = _oracle._member_samples(kind, phi, two, three, cfg)
-    values = abs(L3 * a3 - mu * (L2 * a2) ** 2)
-    return _oracle._record(mu, report.value, values, w1, w2, report.branch, cfg)
+    blocks = _oracle._member_blocks(kind, phi, two, three, cfg)
+    (best,) = _oracle._argmax(blocks, [lambda a2, a3: abs(L3 * a3 - mu * (L2 * a2) ** 2)])
+    return _oracle._record(mu, report.value, best, report.branch, cfg)

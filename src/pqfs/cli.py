@@ -24,6 +24,9 @@ from .pq_core import DomainError, PQParams
 
 _FMT = "{:.12g}".format
 
+#: Largest ``region --grid``; the command writes grid^2 rows.
+MAX_REGION_GRID = 1024
+
 
 def _parse_phi(spec: str) -> MaMindaTarget:
     if spec.strip().lower() == "koebe":
@@ -305,8 +308,10 @@ def _cmd_region(args: argparse.Namespace) -> int:
         coeffs = np.array([float(tok) for tok in args.f.split(",")], dtype=complex)
     except ValueError:
         raise DomainError(f"malformed f spec {args.f!r}: expected comma-separated coefficients") from None
-    if args.grid < 16:
-        raise DomainError(f"region grid must be >= 16, got {args.grid}")
+    if not np.isfinite(coeffs).all():
+        raise DomainError(f"f coefficients must be finite, got {args.f!r}")
+    if not 16 <= args.grid <= MAX_REGION_GRID:
+        raise DomainError(f"region grid must be in [16, {MAX_REGION_GRID}], got {args.grid}")
     params = _parse_params(args.p, args.q)
     p, q = params.p, params.q
 

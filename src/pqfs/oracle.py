@@ -8,6 +8,10 @@ never sees the empirical maximum exceed the theoretical bound; with the
 extremal jets forced into the sample set the maximum also attains the
 bound, witnessing sharpness.
 
+Every functional is evaluated block by block over slices of ``BLOCK``
+jets, and a sweep evaluates all its mu on each block in one pass, so no
+check allocates an array as long as the (cached) sample set.
+
 Sampling is deterministic for a fixed seed.  Record merging in sweeps is
 sequential and ordered by mu, so results are reproducible run to run.
 """
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +43,15 @@ DEFAULT_SEED = 20259
 #: Largest number of mu points one sweep may verify.
 MAX_SWEEP_POINTS = 100_000
 
+#: Largest grid density and random budget an OracleConfig accepts; the
+#: sample set grows as the fourth power of the grid density.
+MAX_GRID_DENSITY = 48
+MAX_RANDOM_SAMPLES = 1_000_000
+
+#: Jets per block of the blocked reductions: no oracle check allocates
+#: an array longer than this, apart from the cached sample set.
+BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -58,10 +71,14 @@ class OracleConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.grid_density < 8:
-            raise DomainError(f"grid_density must be >= 8, got {self.grid_density}")
-        if self.random_samples < 0:
-            raise DomainError(f"random_samples must be >= 0, got {self.random_samples}")
+        if not 8 <= self.grid_density <= MAX_GRID_DENSITY:
+            raise DomainError(
+                f"grid_density must be in [8, {MAX_GRID_DENSITY}], got {self.grid_density}"
+            )
+        if not 0 <= self.random_samples <= MAX_RANDOM_SAMPLES:
+            raise DomainError(
+                f"random_samples must be in [0, {MAX_RANDOM_SAMPLES}], got {self.random_samples}"
+            )
         if not 0.0 < self.tolerance < math.inf:
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
@@ -116,18 +133,19 @@ def _sample_jets(
 
     Grid part: u1..u4 on [-1, 1]^4 with w1 = u1 + i u2 kept inside the
     closed unit disc and w2 = (u3 + i u4)(1 - |w1|^2) kept inside its
-    shrunken disc.  Random part: w1 uniform on the disc, then w2 uniform
-    on the disc of radius 1 - |w1|^2, drawn row-wise so that a larger
-    budget extends a smaller one.  Extremal jets (1, 0) and (0, 1) and
-    their negatives are appended last when requested.
+    shrunken disc, in the "ij" order of a four-way meshgrid.  The kept
+    points are the product of the 2-D disc grid with itself, so they are
+    built as disc x disc.  Random part: w1 uniform on the disc, then w2
+    uniform on the disc of radius 1 - |w1|^2, drawn row-wise so that a
+    larger budget extends a smaller one.  Extremal jets (1, 0) and (0, 1)
+    and their negatives are appended last when requested.
     """
     u = np.linspace(-1.0, 1.0, grid_density)
-    u1, u2, u3, u4 = (g.ravel() for g in np.meshgrid(u, u, u, u, indexing="ij"))
-    w1 = u1 + 1j * u2
-    inner = u3 + 1j * u4
-    keep = (np.abs(w1) <= 1.0) & (np.abs(inner) <= 1.0)
-    w1 = w1[keep]
-    w2 = inner[keep] * (1.0 - np.abs(w1) ** 2)
+    disc = (u[:, None] + 1j * u[None, :]).ravel()
+    disc = disc[np.abs(disc) <= 1.0]
+    n = disc.size
+    w1 = np.repeat(disc, n)
+    w2 = np.tile(disc, n) * np.repeat(1.0 - np.abs(disc) ** 2, n)
 
     if random_samples:
         rows = np.random.default_rng(seed).random((random_samples, 4))
@@ -147,22 +165,76 @@ def _sample_jets(
     return w1, w2
 
 
+def _jets(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
+    return _sample_jets(cfg.grid_density, cfg.random_samples, cfg.include_extremals, cfg.seed)
+
+
 def _caratheodory_samples(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    w1, w2 = _sample_jets(cfg.grid_density, cfg.random_samples, cfg.include_extremals, cfg.seed)
+    """(w1, w2, c1, c2) over the whole sample set at once.  The checks
+    below never call this: they go through ``_caratheodory_blocks``."""
+    w1, w2 = _jets(cfg)
     return w1, w2, 2.0 * w1, 2.0 * w1 * w1 + 2.0 * w2
+
+
+Blocks = Iterator[tuple[int, np.ndarray, np.ndarray]]
+
+
+def _caratheodory_blocks(cfg: OracleConfig) -> Blocks:
+    """(start, c1, c2) for consecutive slices of ``BLOCK`` sampled jets."""
+    w1, w2 = _jets(cfg)
+    for start in range(0, w1.size, BLOCK):
+        b1, b2 = w1[start : start + BLOCK], w2[start : start + BLOCK]
+        yield start, 2.0 * b1, 2.0 * b1 * b1 + 2.0 * b2
+
+
+def _member_blocks(
+    kind: ClassKind, phi: MaMindaTarget, two: float, three: float, cfg: OracleConfig
+) -> Blocks:
+    """(start, a2, a3) for the blocks of ``_caratheodory_blocks``, a
+    vectorized form of the member-jet constructors in classes.py.  The
+    scales are computed here, before the first block is asked for, so a
+    bad kind or degenerate numbers raise at the call."""
+    A, B, E = fs_scales(kind, two, three)
+    b1, b2 = phi.b1, phi.b2
+    k = 0.5 * (1.0 - b2 / b1 - b1 / B)
+    return (
+        (start, b1 * c1 / (2.0 * E), b1 / (2.0 * A) * (c2 - k * c1 * c1))
+        for start, c1, c2 in _caratheodory_blocks(cfg)
+    )
+
+
+Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _argmax(blocks: Blocks, functionals: Sequence[Functional]) -> list[tuple[float, int]]:
+    """(max, first index) of each functional over all blocks, in one pass.
+
+    Each functional maps the two arrays of a block to real values.  Within
+    a block ``np.argmax`` picks the first maximum; across blocks a later
+    block wins only with a strictly larger value, so the index is the one
+    ``np.argmax`` gives over the whole set.  Like ``np.argmax``, a NaN
+    counts as the largest value and the first NaN wins.
+    """
+    best = [(-math.inf, -1)] * len(functionals)
+    for start, x, y in blocks:
+        for k, functional in enumerate(functionals):
+            values = functional(x, y)
+            i = int(np.argmax(values))
+            v, top = float(values[i]), best[k][0]
+            if v > top or (math.isnan(v) and not math.isnan(top)):
+                best[k] = (v, start + i)
+    return best
 
 
 def _record(
     mu: complex,
     theoretical: float,
-    values: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
+    best: tuple[float, int],
     branch: str,
     cfg: OracleConfig,
 ) -> VerificationRecord:
-    i = int(np.argmax(values))
-    empirical = float(values[i])
+    empirical, i = best
+    w1, w2 = _jets(cfg)
     gap = theoretical - empirical
     return VerificationRecord(
         mu=mu,
@@ -179,9 +251,8 @@ def _record(
 def brute_force_caratheodory_max(mu: complex, cfg: OracleConfig) -> VerificationRecord:
     """Maximize |c2 - mu c1^2| over the sampled body against the sharp
     value 2 max(1, |2 mu - 1|); mu may be complex."""
-    w1, w2, c1, c2 = _caratheodory_samples(cfg)
-    values = np.abs(c2 - mu * c1 * c1)
-    return _record(mu, ma_minda_bound(mu), values, w1, w2, BRANCH_MAX_FORM, cfg)
+    (best,) = _argmax(_caratheodory_blocks(cfg), [lambda c1, c2: np.abs(c2 - mu * c1 * c1)])
+    return _record(mu, ma_minda_bound(mu), best, BRANCH_MAX_FORM, cfg)
 
 
 def brute_force_caratheodory_piecewise(
@@ -193,56 +264,60 @@ def brute_force_caratheodory_piecewise(
     (1 - v)|c1|^2 for 1/2 <= v < 1, and the cap is the constant 2; values
     of v outside (0, 1) have no refined form and are rejected.
     """
-    w1, w2, c1, c2 = _caratheodory_samples(cfg)
-    base = np.abs(c2 - v * c1 * c1)
     if not refined:
-        return _record(v, caratheodory_piecewise_bound(v), base, w1, w2, "piecewise", cfg)
+        (best,) = _argmax(_caratheodory_blocks(cfg), [lambda c1, c2: np.abs(c2 - v * c1 * c1)])
+        return _record(v, caratheodory_piecewise_bound(v), best, "piecewise", cfg)
     if not 0.0 < v < 1.0:
         raise DomainError(f"refined forms need 0 < v < 1, got v={v:g}")
     weight = v if v <= 0.5 else 1.0 - v
-    values = base + weight * np.abs(c1) ** 2
-    branch = "refined_low" if v <= 0.5 else "refined_high"
-    return _record(v, 2.0, values, w1, w2, branch, cfg)
+
+    def values(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        return np.abs(c2 - v * c1 * c1) + weight * np.abs(c1) ** 2
+
+    (best,) = _argmax(_caratheodory_blocks(cfg), [values])
+    return _record(v, 2.0, best, "refined_low" if v <= 0.5 else "refined_high", cfg)
 
 
-def _member_samples(
-    kind: ClassKind, phi: MaMindaTarget, two: float, three: float, cfg: OracleConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(w1, w2, a2, a3): the sampled jets and their member arrays, a
-    vectorized form of the member-jet constructors in classes.py.  The
-    Caratheodory arrays c1, c2 are dropped on return."""
-    A, B, E = fs_scales(kind, two, three)
-    b1, b2 = phi.b1, phi.b2
-    w1, w2, c1, c2 = _caratheodory_samples(cfg)
-    a2 = b1 * c1 / (2.0 * E)
-    a3 = b1 / (2.0 * A) * (c2 - 0.5 * (1.0 - b2 / b1 - b1 / B) * c1 * c1)
-    return w1, w2, a2, a3
+def _fs_outcomes(
+    kind: ClassKind, mus: Sequence[complex], phi: MaMindaTarget, params: PQParams, cfg: OracleConfig
+) -> list[VerificationRecord | DomainError]:
+    """One record per mu, or the DomainError of its bound, from a single
+    pass over the member blocks.
 
-
-def _fs_verifier(
-    kind: ClassKind, phi: MaMindaTarget, params: PQParams, cfg: OracleConfig
-) -> Callable[[complex], VerificationRecord]:
-    """Build the mu-invariant member arrays once and return the per-mu check.
-
-    The returned function computes the bound report, |a3 - mu a2^2| into
-    two buffers owned by this closure, and the argmax.  The buffered steps
-    are the ufuncs of ``abs(a3 - mu * a2 * a2)`` in the same order, so the
-    values match that expression bit for bit.
+    A DomainError of the set-up (numbers, scales) is raised.  Each block
+    evaluates |a3 - mu a2^2| for every mu through two scratch buffers;
+    the buffered steps are the ufuncs of ``abs(a3 - mu * a2 * a2)`` in
+    the same order, so the values match that expression bit for bit.
     """
     two, three = deformation_numbers(params)
-    w1, w2, a2, a3 = _member_samples(kind, phi, two, three, cfg)
-    t = np.empty_like(a2)
-    values = np.empty(a2.shape)
+    blocks = _member_blocks(kind, phi, two, three, cfg)
+    reports: list[BoundReport | DomainError] = []
+    for mu in mus:
+        try:
+            reports.append(fs_bound_from_numbers(kind, mu, phi, two, three, params.p, params.q))
+        except DomainError as exc:
+            reports.append(exc)
+    live = [mu for mu, r in zip(mus, reports) if isinstance(r, BoundReport)]
+    if not live:
+        return reports
+    size = min(BLOCK, _jets(cfg)[0].size)
+    t, buf = np.empty(size, dtype=complex), np.empty(size)
 
-    def verify(mu: complex) -> VerificationRecord:
-        report: BoundReport = fs_bound_from_numbers(kind, mu, phi, two, three, params.p, params.q)
-        np.multiply(mu, a2, out=t)
-        np.multiply(t, a2, out=t)
-        np.subtract(a3, t, out=t)
-        np.abs(t, out=values)
-        return _record(mu, report.value, values, w1, w2, report.branch, cfg)
+    def functional(mu: complex) -> Functional:
+        def values(a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
+            tt, vv = t[: a2.size], buf[: a2.size]
+            np.multiply(mu, a2, out=tt)
+            np.multiply(tt, a2, out=tt)
+            np.subtract(a3, tt, out=tt)
+            return np.abs(tt, out=vv)
 
-    return verify
+        return values
+
+    bests = iter(_argmax(blocks, [functional(mu) for mu in live]))
+    return [
+        r if isinstance(r, DomainError) else _record(mu, r.value, next(bests), r.branch, cfg)
+        for mu, r in zip(mus, reports)
+    ]
 
 
 def verify_fs(
@@ -250,7 +325,10 @@ def verify_fs(
 ) -> VerificationRecord:
     """Maximize |a3 - mu a2^2| over member jets built from the sampled body
     and compare with the max-form bound."""
-    return _fs_verifier(kind, phi, params, cfg)(mu)
+    (out,) = _fs_outcomes(kind, [mu], phi, params, cfg)
+    if isinstance(out, DomainError):
+        raise out
+    return out
 
 
 def verify_refined(
@@ -269,10 +347,14 @@ def verify_refined(
         raise DomainError(
             f"refined forms need mu in ({t1:.6g}, {t2:.6g}) split at {t3:.6g}, got mu={mu:.6g}"
         )
-    w1, w2, a2, a3 = _member_samples(kind, phi, two, three, cfg)
-    values = np.abs(a3 - mu * a2 * a2) + penalty * np.abs(a2) ** 2
+    blocks = _member_blocks(kind, phi, two, three, cfg)
+
+    def values(a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
+        return np.abs(a3 - mu * a2 * a2) + penalty * np.abs(a2) ** 2
+
+    (best,) = _argmax(blocks, [values])
     A, _, _ = fs_scales(kind, two, three)
-    return _record(mu, phi.b1 / A, values, w1, w2, branch, cfg)
+    return _record(mu, phi.b1 / A, best, branch, cfg)
 
 
 def sweep(
@@ -290,9 +372,9 @@ def sweep(
     Non-finite endpoints or step, a step <= 0 and a range of more than
     ``MAX_SWEEP_POINTS`` points are domain errors.
 
-    The member arrays do not depend on mu, so they are built once per
-    call and every mu reuses them; each record is bit-identical to the
-    one ``verify_fs`` returns for that mu.
+    The member arrays do not depend on mu, so one pass over the member
+    blocks serves every mu; each record is bit-identical to the one
+    ``verify_fs`` returns for that mu.
     """
     lo, hi, step = mu_range
     if not all(math.isfinite(x) for x in mu_range):
@@ -309,16 +391,15 @@ def sweep(
         )
     mus = [lo + k * step for k in range(count)]
     try:
-        verify = _fs_verifier(kind, phi, params, cfg)
+        outcomes = _fs_outcomes(kind, mus, phi, params, cfg)
     except DomainError as exc:
         return [SweepEntry(mu=mu, record=None, error=str(exc)) for mu in mus]
-    entries: list[SweepEntry] = []
-    for mu in mus:
-        try:
-            entries.append(SweepEntry(mu=mu, record=verify(mu)))
-        except DomainError as exc:
-            entries.append(SweepEntry(mu=mu, record=None, error=str(exc)))
-    return entries
+    return [
+        SweepEntry(mu=mu, record=None, error=str(out))
+        if isinstance(out, DomainError)
+        else SweepEntry(mu=mu, record=out)
+        for mu, out in zip(mus, outcomes)
+    ]
 
 
 def summarize(entries: list[SweepEntry]) -> tuple[int, int, int]:

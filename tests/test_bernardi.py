@@ -32,6 +32,11 @@ class TestParams:
         with pytest.raises(DomainError):
             BernardiParams(c, PQ)
 
+    @pytest.mark.parametrize("c", [True, False])
+    def test_bool_order_rejected(self, c):
+        with pytest.raises(DomainError, match="integer"):
+            BernardiParams(c, PQ)
+
     def test_zero_order_accepted(self):
         assert BernardiParams(0, PQ).c == 0
 

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from pqfs.cli import main
+from pqfs.cli import MAX_REGION_GRID, main
+from pqfs.oracle import MAX_GRID_DENSITY, MAX_RANDOM_SAMPLES
 
 FAST = ["--grid", "12", "--samples", "2000"]
 
@@ -330,6 +331,29 @@ class TestRegionCommand:
         code, _, err = run(["region", "--f", "0,1", "--p", "0.9", "--q", "0.6", "--grid", "8"], capsys)
         assert code == 2
         assert "grid" in err
+
+    @pytest.mark.parametrize("f", ["0,1,nan", "0,inf", "0,1,-inf"])
+    def test_non_finite_coefficients_exit_2(self, f, capsys):
+        code, out, err = run(["region", "--f", f, "--p", "0.9", "--q", "0.6", "--grid", "16"], capsys)
+        assert code == 2
+        assert "finite" in err and out == ""
+
+    def test_huge_grid_exit_2(self, capsys):
+        grid = str(MAX_REGION_GRID + 1)
+        code, out, err = run(["region", "--f", "0,1", "--p", "0.9", "--q", "0.6", "--grid", grid], capsys)
+        assert code == 2
+        assert str(MAX_REGION_GRID) in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "budget", [["--grid", str(MAX_GRID_DENSITY + 1)], ["--samples", str(MAX_RANDOM_SAMPLES + 1)]]
+)
+def test_oracle_budget_above_limit_exit_2(budget, capsys):
+    code, out, err = run(
+        ["verify", "--class", "starlike", "--p", "0.9", "--q", "0.6", "--mu", "0", *budget], capsys
+    )
+    assert code == 2
+    assert "must be in" in err and out == ""
 
 
 def test_module_entry_point_runs():

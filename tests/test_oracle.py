@@ -1,11 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pqfs import oracle
+from pqfs.bernardi import BernardiParams, verify_fs_bernardi
 from pqfs.bounds import fs_bound_starlike
 from pqfs.classes import MaMindaTarget
 from pqfs.oracle import (
+    MAX_GRID_DENSITY,
+    MAX_RANDOM_SAMPLES,
     MAX_SWEEP_POINTS,
     OracleConfig,
     brute_force_caratheodory_max,
@@ -39,11 +44,20 @@ class TestConfig:
             # an infinite tolerance would pass every check without testing anything
             dict(tolerance=math.inf),
             dict(tolerance=math.nan),
+            # budgets are checked before anything is sampled
+            dict(grid_density=MAX_GRID_DENSITY + 1),
+            dict(grid_density=10**9),
+            dict(random_samples=MAX_RANDOM_SAMPLES + 1),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             OracleConfig(**kwargs)
+
+    def test_budget_limits_are_inclusive(self):
+        # construction only: a config samples nothing until a check runs
+        cfg = OracleConfig(grid_density=MAX_GRID_DENSITY, random_samples=MAX_RANDOM_SAMPLES)
+        assert (cfg.grid_density, cfg.random_samples) == (MAX_GRID_DENSITY, MAX_RANDOM_SAMPLES)
 
 
 class TestCaratheodoryOracles:
@@ -239,3 +253,93 @@ class TestRefinementMonotonicity:
             cfg = OracleConfig(grid_density=8, random_samples=n, include_extremals=False)
             empirical.append(verify_fs("convex", 0.3, KOEBE, PQ, cfg).empirical_max)
         assert empirical[0] <= empirical[1] <= empirical[2]
+
+
+def _meshgrid_jets(grid_density):
+    """The grid part of the sample set built as the four-way meshgrid it
+    is defined as, to check the disc x disc construction against."""
+    u = np.linspace(-1.0, 1.0, grid_density)
+    u1, u2, u3, u4 = (g.ravel() for g in np.meshgrid(u, u, u, u, indexing="ij"))
+    w1 = u1 + 1j * u2
+    inner = u3 + 1j * u4
+    keep = (np.abs(w1) <= 1.0) & (np.abs(inner) <= 1.0)
+    w1 = w1[keep]
+    return w1, inner[keep] * (1.0 - np.abs(w1) ** 2)
+
+
+@pytest.mark.parametrize("grid_density", [8, 9, 12, 16, 24, 25])
+def test_grid_is_byte_equal_to_meshgrid_build(grid_density):
+    w1, w2 = oracle._sample_jets.__wrapped__(grid_density, 0, False, 0)
+    r1, r2 = _meshgrid_jets(grid_density)
+    assert w1.dtype == r1.dtype and w2.dtype == r2.dtype
+    assert w1.tobytes() == r1.tobytes()
+    assert w2.tobytes() == r2.tobytes()
+
+
+class TestBlockedReduction:
+    # about 1.2k jets: the grid is symmetric, so (w1, w2) and (-w1, w2) tie
+    # exactly, and small blocks put ties on both sides of block edges
+    SMALL = OracleConfig(grid_density=8, random_samples=200)
+
+    @staticmethod
+    def _key(r):
+        return (
+            r.theoretical.hex(),
+            r.empirical_max.hex(),
+            r.gap.hex(),
+            r.witness,
+            r.branch,
+            r.attained,
+        )
+
+    def _records(self):
+        cfg = self.SMALL
+        records = [e.record for e in sweep("starlike", (-1.0, 2.0, 0.5), KOEBE, PQ, cfg)]
+        records += [verify_fs("convex", mu, KOEBE, PQ, cfg) for mu in (0.0, 0.3 + 0.4j)]
+        records.append(verify_refined("starlike", 0.6, KOEBE, CLASSIC, cfg))
+        records.append(verify_refined("starlike", 0.9, KOEBE, CLASSIC, cfg))
+        records.append(verify_fs_bernardi("starlike", 0.5, KOEBE, BernardiParams(2, PQ), cfg))
+        records.append(brute_force_caratheodory_max(0.3 + 0.4j, cfg))
+        records.append(brute_force_caratheodory_piecewise(-1.0, cfg))
+        records.append(brute_force_caratheodory_piecewise(0.3, cfg, refined=True))
+        return [self._key(r) for r in records]
+
+    def test_records_do_not_depend_on_block_size(self, monkeypatch):
+        whole = self._records()  # one block: the default BLOCK exceeds the set
+        for block in (1, 7, 64, 10**9):
+            monkeypatch.setattr(oracle, "BLOCK", block)
+            assert self._records() == whole, block
+
+    def test_argmax_keeps_first_index_across_blocks(self):
+        data = np.array([1.0, 3.0, 2.0, 3.0, 3.0, math.nan, 0.0, math.nan])
+
+        def blocks(size):
+            for start in range(0, data.size, size):
+                part = data[start : start + size]
+                yield start, part, part
+
+        for size in (1, 2, 3, 5, 8):
+            got = oracle._argmax(blocks(size), [lambda x, y: x, lambda x, y: np.nan_to_num(y)])
+            assert got[0][1] == int(np.argmax(data)) == 5 and math.isnan(got[0][0])
+            assert got[1] == (3.0, 1)
+
+    def test_no_call_allocates_a_set_sized_array(self):
+        # with the sample set warm, a call holds a few blocks of BLOCK jets at
+        # a time; one complex array over the default set is 2.7 MiB
+        cfg = OracleConfig()
+        calls = [
+            lambda: verify_fs("starlike", 0.5, KOEBE, PQ, cfg),
+            lambda: sweep("convex", (-2.0, 3.0, 0.25), KOEBE, PQ, cfg),
+            lambda: verify_refined("starlike", 0.6, KOEBE, CLASSIC, cfg),
+            lambda: verify_fs_bernardi("convex", 0.5, KOEBE, BernardiParams(1, PQ), cfg),
+        ]
+        for call in calls:
+            call()
+        tracemalloc.start()
+        try:
+            for call in calls:
+                tracemalloc.reset_peak()
+                call()
+                assert tracemalloc.get_traced_memory()[1] < 2 * 2**20
+        finally:
+            tracemalloc.stop()
