@@ -23,15 +23,13 @@ from dataclasses import dataclass
 from . import oracle as _oracle
 from .bounds import (
     BoundReport,
-    fs_bound_from_numbers,
-    fs_scales,
-    piecewise_from_numbers,
-    refined_lhs_from_numbers,
-    thresholds_from_numbers,
-    v_from_numbers,
     _require_real,
+    _window_kind,
+    max_form_report,
+    piecewise_report,
+    refined_lhs,
 )
-from .classes import ClassKind, MaMindaTarget, MemberJet, deformation_numbers
+from .classes import ClassKind, Kernel, MaMindaTarget, MemberJet, deformation_numbers
 from .oracle import OracleConfig, VerificationRecord
 from .pq_core import DomainError, PQParams, TruncatedSeries, pq_integral, pq_number
 
@@ -121,21 +119,26 @@ def bernardi_member(m: MemberJet, bp: BernardiParams) -> MemberJet:
     )
 
 
+def _kernel(kind: ClassKind, bp: BernardiParams) -> Kernel:
+    return Kernel.from_numbers(kind, *effective_numbers(bp))
+
+
 def fs_bound_bernardi(
     kind: ClassKind, mu: complex, phi: MaMindaTarget, bp: BernardiParams
 ) -> BoundReport:
     """Max-form bound with the effective integers; reduces to the plain
     bound when both multipliers are 1."""
-    two_eff, three_eff = effective_numbers(bp)
-    return fs_bound_from_numbers(kind, mu, phi, two_eff, three_eff, bp.base.p, bp.base.q)
+    return max_form_report(_kernel(kind, bp), mu, phi, bp.base)
 
 
 def thresholds_bernardi(
     kind: ClassKind, phi: MaMindaTarget, bp: BernardiParams, printed_form: bool = False
 ) -> tuple[float, float, float]:
     """Piecewise thresholds with the effective integers."""
-    two_eff, three_eff = effective_numbers(bp)
-    return thresholds_from_numbers(kind, phi, two_eff, three_eff, printed_form=printed_form)
+    return _kernel(kind, bp).thresholds(phi, printed_form)
+
+
+_PRINTED_BRANCHES = ("below_printed", "mid_printed", "above_printed")
 
 
 def fs_piecewise_bernardi(
@@ -148,22 +151,16 @@ def fs_piecewise_bernardi(
     branch values do not; it is inconsistent with the max-form bound and
     may even turn negative, in which case constructing the report fails.
     """
-    two_eff, three_eff = effective_numbers(bp)
+    k = _kernel(kind, bp)
     if not printed_form:
-        return piecewise_from_numbers(kind, mu, phi, two_eff, three_eff, bp.base.p, bp.base.q)
+        return piecewise_report(k, mu, phi, bp.base)
     mu = _require_real(mu)
-    t1, t2, t3 = thresholds_from_numbers(kind, phi, two_eff, three_eff)
-    two, three = deformation_numbers(bp.base)
-    A, _, _ = fs_scales(kind, two, three)
-    arg = 1.0 - 2.0 * v_from_numbers(kind, mu, phi, two, three).real
-    if mu < t1:
-        branch, value = "below_printed", phi.b1 / A * arg
-    elif mu <= t2:
-        branch, value = "mid_printed", phi.b1 / A
-    else:
-        branch, value = "above_printed", -(phi.b1 / A) * arg
+    t = k.thresholds(phi)
+    plain = Kernel.of(kind, bp.base)
+    # the printed branch values are written through v(mu) of the plain integers
+    branch, value = plain.select(mu, 1.0 - 2.0 * plain.v(mu, phi), phi, t)
     return BoundReport(
-        value=value, branch=branch, mu=mu, p=bp.base.p, q=bp.base.q, thresholds=(t1, t2, t3)
+        value=value, branch=_PRINTED_BRANCHES[branch], mu=mu, p=bp.base.p, q=bp.base.q, thresholds=t
     )
 
 
@@ -174,7 +171,8 @@ def refined_lhs_bernardi(
     supplying the thresholds, penalty and cap."""
     sm = bernardi_member(m, bp)
     two_eff, three_eff = effective_numbers(bp)
-    return refined_lhs_from_numbers(window, sm.a2, sm.a3, mu, phi, two_eff, three_eff)
+    k = Kernel.from_numbers(_window_kind(window), two_eff, three_eff)
+    return refined_lhs(k, window, sm.a2, sm.a3, mu, phi)
 
 
 def verify_fs_bernardi(
@@ -187,9 +185,9 @@ def verify_fs_bernardi(
     compared with the effective-number bound.  The transform contracts
     the jets, so the bound holds with slack rather than sharply.
     """
-    two, three = deformation_numbers(bp.base)
+    plain = Kernel.of(kind, bp.base)
     report = fs_bound_bernardi(kind, mu, phi, bp)
     L2, L3 = bernardi_factor(2, bp), bernardi_factor(3, bp)
-    blocks = _oracle._member_blocks(kind, phi, two, three, cfg)
+    blocks = _oracle._member_blocks(plain, phi, cfg)
     (best,) = _oracle._argmax(blocks, [lambda a2, a3: abs(L3 * a3 - mu * (L2 * a2) ** 2)])
     return _oracle._record(mu, report.value, best, report.branch, cfg)

@@ -6,8 +6,10 @@ and to the deformed convex class when D(z D f) / D f is, where D is the
 two-parameter quantum derivative.  Subordination pins (a2, a3) as
 explicit functions of the target coefficients (b1, b2) and of the first
 two coefficients of the Schwarz function that witnesses it, equivalently
-of the Caratheodory data (c1, c2).  This module builds those jets and
-checks them against the defining subordination by direct series algebra.
+of the Caratheodory data (c1, c2).  This module builds those jets,
+checks them against the defining subordination by direct series algebra,
+and holds ``Kernel``, the one place the jet, bound and threshold formulas
+of a class kind are written.
 
 All types are immutable and every constructor is re-entrant.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .pq_core import DomainError, PQParams, TruncatedSeries, pq_derivative, pq_number
 
@@ -161,21 +163,163 @@ def deformation_numbers(params: PQParams) -> tuple[float, float]:
     return two, three
 
 
-def _jet_scales(kind: ClassKind, two: float, three: float) -> tuple[float, float]:
-    """(A, E): a3 prefactor divisor and a2 denominator scale for a class kind."""
-    if kind == "starlike":
-        return three - 1.0, two - 1.0
-    if kind == "convex":
-        return three * (three - 1.0), two * (two - 1.0)
-    raise DomainError(f"unknown class kind {kind!r}")
+class Kernel(NamedTuple):
+    """The scales every closed form of one class kind is built from.
+
+    (A, B, E) and K = A B / E^2 depend only on the kind and on the deformed
+    integers [2], [3]:
+
+        starlike:  A = [3]-1,        B = [2]-1,  E = [2]-1
+        convex:    A = [3]([3]-1),   B = [2]-1,  E = [2]([2]-1)
+
+    The member jet, v(mu), the max-form value, the thresholds, the
+    three-branch selection and the refined windows are written here once,
+    for Python scalars and numpy arrays alike.  ``of`` builds a kernel from
+    (p, q); ``from_numbers`` from integers the caller has already checked
+    to exceed 1, such as the Bernardi effective integers.
+    """
+
+    kind: ClassKind
+    two: float
+    three: float
+    A: float
+    B: float
+    E: float
+    K: float
+
+    @classmethod
+    def of(cls, kind: ClassKind, params: PQParams) -> "Kernel":
+        two, three = deformation_numbers(params)
+        return cls.from_numbers(kind, two, three)
+
+    @classmethod
+    def from_numbers(cls, kind: ClassKind, two: float, three: float) -> "Kernel":
+        if kind == "starlike":
+            A, E = three - 1.0, two - 1.0
+        elif kind == "convex":
+            A, E = three * (three - 1.0), two * (two - 1.0)
+        else:
+            raise DomainError(f"unknown class kind {kind!r}")
+        B = two - 1.0
+        # tuple.__new__ skips the generated __new__: a kernel is built on every call
+        return tuple.__new__(cls, (kind, two, three, A, B, E, A * B / (E * E)))
+
+    def member(self, c1, c2, phi: MaMindaTarget):
+        """(a2, a3) of the member with Caratheodory data (c1, c2):
+
+            a2 = b1 c1 / (2E),   a3 = b1 / (2A) (c2 - k c1^2),
+            k = (1 - b2/b1 - b1/B) / 2.
+        """
+        b1, b2 = phi.b1, phi.b2
+        k = 0.5 * (1.0 - b2 / b1 - b1 / self.B)
+        return b1 * c1 / (2.0 * self.E), b1 / (2.0 * self.A) * (c2 - k * c1 * c1)
+
+    def arg(self, mu: complex, phi: MaMindaTarget) -> complex:
+        """arg = b2/b1 + (b1/B)(1 - K mu), the quantity whose modulus is
+        compared with 1 inside the max-form bound; equals 1 - 2 v(mu).
+
+        A NaN or infinite mu is a domain error here, the one place every form
+        goes through: max(1, |arg|) would otherwise turn a NaN arg into 1."""
+        if not cmath.isfinite(mu):
+            raise DomainError(f"mu must be finite, got mu={mu!r}")
+        return phi.b2 / phi.b1 + (phi.b1 / self.B) * (1.0 - self.K * mu)
+
+    def v(self, mu: complex, phi: MaMindaTarget) -> complex:
+        """v(mu), with a3 - mu a2^2 = (b1 / 2A)(c2 - v c1^2)."""
+        return (1.0 - self.arg(mu, phi)) / 2.0
+
+    def max_form(self, mu: complex, phi: MaMindaTarget) -> float:
+        """The sharp bound (|b1| / A) max(1, |arg|); mu may be complex."""
+        return abs(phi.b1) / self.A * max(1.0, abs(self.arg(mu, phi)))
+
+    def thresholds(
+        self, phi: MaMindaTarget, printed_form: bool = False
+    ) -> tuple[float, float, float]:
+        """(t1, t2, t3): the mu values where v(mu) crosses 0, 1 and 1/2.
+
+        t1 and t2 bound the flat mid branch of the piecewise bound; t3 is
+        where the refined inequality switches from its low form to its high
+        form.  Ordering t1 <= t3 <= t2 holds whenever b1 > 0.
+
+        ``printed_form`` (convex kind only) swaps in the threshold
+        normalization that circulates in print, whose (b2 -+ b1) terms carry
+        ([2]^2 - 1)^2 instead of [2]^2 ([2]-1)^2.  It is kept for comparison
+        output; it does not agree with the max-form bound and is never used
+        by the piecewise branch logic.
+        """
+        b1, b2 = phi.b1, phi.b2
+        # the piecewise and refined results order real mu, which needs b1 > 0, b2 >= 0
+        if not (b1 > 0.0 and b2 >= 0.0):
+            raise DomainError(
+                f"piecewise thresholds need b1 > 0 and b2 >= 0, got b1={b1:g}, b2={b2:g}"
+            )
+        if printed_form and self.kind == "convex":
+            two, three = self.two, self.three
+            den = three * (three - 1.0) * b1 * b1
+            head = two * two * (two - 1.0) * b1 * b1
+            fac = (two * two - 1.0) ** 2
+            return (
+                (head + fac * (b2 - b1)) / den,
+                (head + fac * (b2 + b1)) / den,
+                (head + fac * b2) / den,
+            )
+        B, K = self.B, self.K
+
+        def crossing(t: float) -> float:
+            return (b1 * b1 + B * (b2 + (2.0 * t - 1.0) * b1)) / (K * b1 * b1)
+
+        return crossing(0.0), crossing(1.0), crossing(0.5)
+
+    def select(
+        self, mu: float, arg: float, phi: MaMindaTarget, t: tuple[float, float, float]
+    ) -> tuple[int, float]:
+        """(branch, value) of the three-branch bound at real mu, for the
+        thresholds t:
+
+            0: (b1/A) arg  (mu < t1),    1: b1/A  (t1 <= mu <= t2),
+            2: -(b1/A) arg  (mu > t2).
+        """
+        cap = phi.b1 / self.A
+        if mu < t[0]:
+            return 0, cap * arg
+        if mu <= t[1]:
+            return 1, cap
+        return 2, -cap * arg
+
+    def refined_penalty(
+        self, mu: float, phi: MaMindaTarget, window: str | None = None
+    ) -> tuple[str, float]:
+        """("low" or "high", penalty) of the refined inequality at real mu.
+
+        For t1 < mu <= t3 ("low") the functional gains (mu - t1)|a2|^2, for
+        t3 <= mu < t2 ("high") it gains (t2 - mu)|a2|^2.  A named window
+        (such as "starlike_low") must contain mu; without one, the window
+        containing mu is used.  Outside the window the inequality is not
+        asserted and a domain error identifies the admissible range.
+        """
+        t1, t2, t3 = self.thresholds(phi)
+        low, high = t1 < mu <= t3, t3 <= mu < t2
+        side = window.rsplit("_", 1)[1] if window else ("low" if low else "high")
+        if side == "low" and low:
+            return side, mu - t1
+        if side == "high" and high:
+            return side, t2 - mu
+        if window is None:
+            raise DomainError(
+                f"refined forms need mu in ({t1:.6g}, {t2:.6g}) split at {t3:.6g}, got mu={mu:.6g}"
+            )
+        if side == "low":
+            raise DomainError(f"{window} needs mu in ({t1:.6g}, {t3:.6g}], got mu={mu:.6g}")
+        raise DomainError(f"{window} needs mu in [{t3:.6g}, {t2:.6g}), got mu={mu:.6g}")
+
+    @staticmethod
+    def refined_functional(a2, a3, mu: float, penalty: float):
+        """|a3 - mu a2^2| + penalty |a2|^2, capped by b1 / A inside its window."""
+        return abs(a3 - mu * a2 * a2) + penalty * abs(a2) ** 2
 
 
 def _member(kind: ClassKind, c: CaratheodoryJet, phi: MaMindaTarget, params: PQParams) -> MemberJet:
-    two, three = deformation_numbers(params)
-    A, E = _jet_scales(kind, two, three)
-    b1, b2 = phi.b1, phi.b2
-    a2 = b1 * c.c1 / (2.0 * E)
-    a3 = b1 / (2.0 * A) * (c.c2 - 0.5 * (1.0 - b2 / b1 - b1 / (two - 1.0)) * c.c1**2)
+    a2, a3 = Kernel.of(kind, params).member(c.c1, c.c2, phi)
     return MemberJet(a2=a2, a3=a3, kind=kind, source=c, phi=phi, params=params)
 
 

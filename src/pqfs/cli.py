@@ -18,9 +18,9 @@ import numpy as np
 
 from . import bernardi as bn
 from . import bounds, oracle
-from .classes import MaMindaTarget
+from .classes import Kernel, MaMindaTarget
 from .oracle import OracleConfig, SweepEntry, VerificationRecord
-from .pq_core import DomainError, PQParams
+from .pq_core import DomainError, PQParams, pq_number
 
 _FMT = "{:.12g}".format
 
@@ -146,14 +146,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
     params = _parse_params(args.p, args.q)
     mu = _parse_mu(args.mu)
-    kind = args.class_kind
-    if args.form == "max":
-        report = (bounds.fs_bound_starlike if kind == "starlike" else bounds.fs_bound_convex)(
-            mu, phi, params
-        )
-    else:
-        fn = bounds.fs_piecewise_starlike if kind == "starlike" else bounds.fs_piecewise_convex
-        report = fn(mu, phi, params)
+    form = bounds.max_form_report if args.form == "max" else bounds.piecewise_report
+    report = form(Kernel.of(args.class_kind, params), mu, phi, params)
     print(f"value:  {_FMT(report.value)}")
     print(f"branch: {report.branch}")
     if report.thresholds is not None:
@@ -165,12 +159,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
     params = _parse_params(args.p, args.q)
-    if args.class_kind == "starlike":
-        t = bounds.sigma_thresholds(phi, params)
-        names = ("sigma1", "sigma2", "sigma3")
-    else:
-        t = bounds.rho_thresholds(phi, params, printed_form=args.printed_thresholds)
-        names = ("rho1", "rho2", "rho3")
+    t = Kernel.of(args.class_kind, params).thresholds(phi, args.printed_thresholds)
+    names = ("sigma1", "sigma2", "sigma3") if args.class_kind == "starlike" else ("rho1", "rho2", "rho3")
     for name, value in zip(names, t):
         print(f"{name}: {_FMT(value)}")
     return 0
@@ -268,12 +258,11 @@ def _limit_checks() -> list[tuple[str, float, float, float]]:
     # branch agreement in the q-regime (p = 1) over a dense mu grid
     qcase = PQParams(1.0, 0.5)
     worst = 0.0
-    for kind, max_fn, pw_fn in (
-        ("starlike", bounds.fs_bound_starlike, bounds.fs_piecewise_starlike),
-        ("convex", bounds.fs_bound_convex, bounds.fs_piecewise_convex),
-    ):
+    for kind in ("starlike", "convex"):
+        k = Kernel.of(kind, qcase)
         for mu in np.arange(-2.0, 3.0001, 0.05):
-            worst = max(worst, abs(max_fn(mu, koebe, qcase).value - pw_fn(mu, koebe, qcase).value))
+            max_form = bounds.max_form_report(k, mu, koebe, qcase)
+            worst = max(worst, abs(max_form.value - bounds.piecewise_report(k, mu, koebe, qcase).value))
     add("q-regime branch agreement (worst dev)", worst, 0.0)
 
     # oracle attainment at the classical limit
@@ -313,13 +302,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
     if not 16 <= args.grid <= MAX_REGION_GRID:
         raise DomainError(f"region grid must be in [16, {MAX_REGION_GRID}], got {args.grid}")
     params = _parse_params(args.p, args.q)
-    p, q = params.p, params.q
-
-    def f(z: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(z)
-        for c in coeffs[::-1]:
-            acc = acc * z + c
-        return acc
+    # z D f = sum [n] a_n z^n; pq_number is continuous through p = q
+    weighted = coeffs * [pq_number(n, params) for n in range(coeffs.size)]
 
     # cell centers keep every sample strictly inside (-1, 1) on each axis
     axis = (np.arange(args.grid) + 0.5) * (2.0 / args.grid) - 1.0
@@ -330,14 +314,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
         for x in axis:
             zs = x + 1j * axis
             with np.errstate(divide="ignore", invalid="ignore"):
-                quot = (f(p * zs) - f(q * zs)) / ((p - q) * f(zs)) if p != q else None
-                if quot is None:
-                    # classical boundary: the quotient degenerates to z f'/f
-                    df = np.zeros_like(zs)
-                    for n, c in enumerate(coeffs):
-                        if n:
-                            df += n * c * zs ** (n - 1)
-                    quot = zs * df / f(zs)
+                quot = np.polyval(weighted[::-1], zs) / np.polyval(coeffs[::-1], zs)
             re = np.real(quot)
             re = np.where(np.isfinite(re), re, np.nan)
             re = np.where(np.abs(zs) < 1.0, re, np.nan)
@@ -369,8 +346,18 @@ def _add_common(sub: argparse.ArgumentParser, seed: int, mu: bool = True) -> Non
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+def _env_seed() -> int:
+    text = os.environ.get("PQFS_SEED")
+    if text is None:
+        return oracle.DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"PQFS_SEED must be an integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    seed = int(os.environ.get("PQFS_SEED", oracle.DEFAULT_SEED))
+    seed = _env_seed()
     parser = argparse.ArgumentParser(
         prog="pqfs",
         description="Deformed starlike/convex coefficient bounds with brute-force verification.",
@@ -425,13 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

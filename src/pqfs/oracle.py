@@ -19,6 +19,7 @@ sequential and ordered by mu, so results are reproducible run to run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
@@ -30,12 +31,10 @@ from .bounds import (
     BRANCH_MAX_FORM,
     _require_real,
     caratheodory_piecewise_bound,
-    fs_bound_from_numbers,
-    fs_scales,
     ma_minda_bound,
-    thresholds_from_numbers,
+    max_form_report,
 )
-from .classes import ClassKind, MaMindaTarget, SchwarzJet, deformation_numbers
+from .classes import ClassKind, Kernel, MaMindaTarget, SchwarzJet
 from .pq_core import DomainError, PQParams
 
 DEFAULT_SEED = 20259
@@ -71,6 +70,11 @@ class OracleConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        for name in ("grid_density", "random_samples", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is not a budget or a seed
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if not 8 <= self.grid_density <= MAX_GRID_DENSITY:
             raise DomainError(
                 f"grid_density must be in [8, {MAX_GRID_DENSITY}], got {self.grid_density}"
@@ -81,6 +85,8 @@ class OracleConfig:
             )
         if not 0.0 < self.tolerance < math.inf:
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -187,20 +193,10 @@ def _caratheodory_blocks(cfg: OracleConfig) -> Blocks:
         yield start, 2.0 * b1, 2.0 * b1 * b1 + 2.0 * b2
 
 
-def _member_blocks(
-    kind: ClassKind, phi: MaMindaTarget, two: float, three: float, cfg: OracleConfig
-) -> Blocks:
-    """(start, a2, a3) for the blocks of ``_caratheodory_blocks``, a
-    vectorized form of the member-jet constructors in classes.py.  The
-    scales are computed here, before the first block is asked for, so a
-    bad kind or degenerate numbers raise at the call."""
-    A, B, E = fs_scales(kind, two, three)
-    b1, b2 = phi.b1, phi.b2
-    k = 0.5 * (1.0 - b2 / b1 - b1 / B)
-    return (
-        (start, b1 * c1 / (2.0 * E), b1 / (2.0 * A) * (c2 - k * c1 * c1))
-        for start, c1, c2 in _caratheodory_blocks(cfg)
-    )
+def _member_blocks(k: Kernel, phi: MaMindaTarget, cfg: OracleConfig) -> Blocks:
+    """(start, a2, a3) for the blocks of ``_caratheodory_blocks``, through
+    the member jet of the kernel."""
+    return ((start, *k.member(c1, c2, phi)) for start, c1, c2 in _caratheodory_blocks(cfg))
 
 
 Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -250,9 +246,10 @@ def _record(
 
 def brute_force_caratheodory_max(mu: complex, cfg: OracleConfig) -> VerificationRecord:
     """Maximize |c2 - mu c1^2| over the sampled body against the sharp
-    value 2 max(1, |2 mu - 1|); mu may be complex."""
+    value 2 max(1, |2 mu - 1|); mu may be complex, but must be finite."""
+    bound = ma_minda_bound(mu)
     (best,) = _argmax(_caratheodory_blocks(cfg), [lambda c1, c2: np.abs(c2 - mu * c1 * c1)])
-    return _record(mu, ma_minda_bound(mu), best, BRANCH_MAX_FORM, cfg)
+    return _record(mu, bound, best, BRANCH_MAX_FORM, cfg)
 
 
 def brute_force_caratheodory_piecewise(
@@ -265,8 +262,9 @@ def brute_force_caratheodory_piecewise(
     of v outside (0, 1) have no refined form and are rejected.
     """
     if not refined:
+        bound = caratheodory_piecewise_bound(v)
         (best,) = _argmax(_caratheodory_blocks(cfg), [lambda c1, c2: np.abs(c2 - v * c1 * c1)])
-        return _record(v, caratheodory_piecewise_bound(v), best, "piecewise", cfg)
+        return _record(v, bound, best, "piecewise", cfg)
     if not 0.0 < v < 1.0:
         raise DomainError(f"refined forms need 0 < v < 1, got v={v:g}")
     weight = v if v <= 0.5 else 1.0 - v
@@ -284,17 +282,16 @@ def _fs_outcomes(
     """One record per mu, or the DomainError of its bound, from a single
     pass over the member blocks.
 
-    A DomainError of the set-up (numbers, scales) is raised.  Each block
+    A DomainError of the set-up (the kernel) is raised.  Each block
     evaluates |a3 - mu a2^2| for every mu through two scratch buffers;
     the buffered steps are the ufuncs of ``abs(a3 - mu * a2 * a2)`` in
     the same order, so the values match that expression bit for bit.
     """
-    two, three = deformation_numbers(params)
-    blocks = _member_blocks(kind, phi, two, three, cfg)
+    k = Kernel.of(kind, params)
     reports: list[BoundReport | DomainError] = []
     for mu in mus:
         try:
-            reports.append(fs_bound_from_numbers(kind, mu, phi, two, three, params.p, params.q))
+            reports.append(max_form_report(k, mu, phi, params))
         except DomainError as exc:
             reports.append(exc)
     live = [mu for mu, r in zip(mus, reports) if isinstance(r, BoundReport)]
@@ -313,7 +310,7 @@ def _fs_outcomes(
 
         return values
 
-    bests = iter(_argmax(blocks, [functional(mu) for mu in live]))
+    bests = iter(_argmax(_member_blocks(k, phi, cfg), [functional(mu) for mu in live]))
     return [
         r if isinstance(r, DomainError) else _record(mu, r.value, next(bests), r.branch, cfg)
         for mu, r in zip(mus, reports)
@@ -337,24 +334,14 @@ def verify_refined(
     """Maximize the refined functional over member jets inside the threshold
     window that contains mu; window violations surface as domain errors."""
     mu = _require_real(mu)
-    two, three = deformation_numbers(params)
-    t1, t2, t3 = thresholds_from_numbers(kind, phi, two, three)
-    if t1 < mu <= t3:
-        penalty, branch = mu - t1, "refined_low"
-    elif t3 <= mu < t2:
-        penalty, branch = t2 - mu, "refined_high"
-    else:
-        raise DomainError(
-            f"refined forms need mu in ({t1:.6g}, {t2:.6g}) split at {t3:.6g}, got mu={mu:.6g}"
-        )
-    blocks = _member_blocks(kind, phi, two, three, cfg)
+    k = Kernel.of(kind, params)
+    side, penalty = k.refined_penalty(mu, phi)
 
     def values(a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
-        return np.abs(a3 - mu * a2 * a2) + penalty * np.abs(a2) ** 2
+        return k.refined_functional(a2, a3, mu, penalty)
 
-    (best,) = _argmax(blocks, [values])
-    A, _, _ = fs_scales(kind, two, three)
-    return _record(mu, phi.b1 / A, best, branch, cfg)
+    (best,) = _argmax(_member_blocks(k, phi, cfg), [values])
+    return _record(mu, phi.b1 / k.A, best, f"refined_{side}", cfg)
 
 
 def sweep(

@@ -14,7 +14,7 @@ from pqfs.bernardi import (
     thresholds_bernardi,
     verify_fs_bernardi,
 )
-from pqfs.bounds import fs_bound_from_numbers, fs_bound_starlike
+from pqfs.bounds import fs_bound_starlike, max_form_report
 from pqfs.classes import CaratheodoryJet, MaMindaTarget, convex_member, starlike_member
 from pqfs.oracle import OracleConfig
 from pqfs.pq_core import DomainError, PQParams, TruncatedSeries
@@ -114,11 +114,11 @@ class TestOperatorBounds:
 
     def test_factor_one_reduction(self):
         # with unit multipliers the kernel reproduces the plain bound exactly
-        from pqfs.classes import deformation_numbers
+        from pqfs.classes import Kernel, deformation_numbers
 
         two, three = deformation_numbers(PQ)
         plain = fs_bound_starlike(0.7, KOEBE, PQ)
-        reduced = fs_bound_from_numbers("starlike", 0.7, KOEBE, two * 1.0, three * 1.0, PQ.p, PQ.q)
+        reduced = max_form_report(Kernel.from_numbers("starlike", two * 1.0, three * 1.0), 0.7, KOEBE, PQ)
         assert reduced.value == plain.value
 
     def test_application_bound_classical_c1(self):

@@ -52,6 +52,17 @@ class TestCaratheodoryMaxima:
     def test_piecewise(self, v, expected):
         assert caratheodory_piecewise_bound(v) == expected
 
+    # max(1, nan) is 1, so an unchecked NaN would give a plausible 2.0
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [ma_minda_bound, caratheodory_piecewise_bound])
+    def test_non_finite_argument_rejected(self, fn, x):
+        with pytest.raises(DomainError, match="must be finite"):
+            fn(x)
+
+    def test_ma_minda_non_finite_complex_rejected(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            ma_minda_bound(complex(1.0, math.nan))
+
     @pytest.mark.parametrize("joint", [0.0, 1.0])
     def test_piecewise_continuous_at_joints(self, joint):
         left = caratheodory_piecewise_bound(joint - 1e-12)

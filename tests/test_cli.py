@@ -231,6 +231,20 @@ class TestSweepCommand:
         _, via_flag, _ = run(args + ["--seed", "123", "--out", str(tmp_path / "flag.csv")], capsys)
         assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
+    def test_malformed_env_seed_exit_2(self, capsys, monkeypatch):
+        # PQFS_SEED is read while the parser is built
+        monkeypatch.setenv("PQFS_SEED", "abc")
+        code, out, err = run(["limits"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "PQFS_SEED" in err
+
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(
+            ["verify", "--p", "0.9", "--q", "0.6", "--mu", "0", "--seed", "-1", *FAST], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "seed" in err
+
     def test_unwritable_path_exit_2(self, tmp_path, capsys):
         code, _, err = run(
             [
@@ -326,6 +340,33 @@ class TestRegionCommand:
         rows = list(csv.DictReader(out_path.read_text().splitlines()))
         origin = [r for r in rows if float(r["x"]) == 0.0 and float(r["y"]) == 0.0]
         assert len(origin) == 1 and float(origin[0]["re"]) == 1.0
+
+    def test_identity_near_the_diagonal_is_exactly_one(self, tmp_path, capsys):
+        # f(pz) - f(qz) over (p - q) f(z) would cancel digits as q approaches p
+        out_path = tmp_path / "near_diagonal.csv"
+        code, _, _ = run(
+            ["region", "--f", "0,1", "--p", "0.7", "--q", "0.69999", "--grid", "16", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
+        assert len(rows) == 256 and {r["re"] for r in rows} <= {"1", "nan"}
+
+    def test_diagonal_below_one_uses_the_deformed_quotient(self, tmp_path, capsys):
+        # at p = q the deformed integers are [n] = n p^(n-1), so z D f / f = z f'(pz) / f(z),
+        # which is z f'(z) / f(z) only at p = q = 1
+        out_path = tmp_path / "diagonal.csv"
+        code, _, _ = run(
+            ["region", "--f", "0,1,0.3", "--p", "0.8", "--q", "0.8", "--grid", "16", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        rows = [r for r in csv.DictReader(out_path.read_text().splitlines()) if r["re"] != "nan"]
+        assert rows
+        for r in rows:
+            z = complex(float(r["x"]), float(r["y"]))
+            expected = ((z + 2 * 0.3 * 0.8 * z * z) / (z + 0.3 * z * z)).real
+            assert abs(float(r["re"]) - expected) <= 1e-9
 
     def test_small_grid_exit_2(self, capsys):
         code, _, err = run(["region", "--f", "0,1", "--p", "0.9", "--q", "0.6", "--grid", "8"], capsys)

@@ -48,6 +48,13 @@ class TestConfig:
             dict(grid_density=MAX_GRID_DENSITY + 1),
             dict(grid_density=10**9),
             dict(random_samples=MAX_RANDOM_SAMPLES + 1),
+            # budgets and the seed are integers; 12.5 would fail later in np.linspace
+            dict(grid_density=12.5),
+            dict(random_samples=10.5),
+            dict(random_samples=True),
+            dict(seed=-1),
+            dict(seed=1.5),
+            dict(seed=True),
         ],
     )
     def test_validation(self, kwargs):
@@ -98,6 +105,13 @@ class TestCaratheodoryOracles:
     def test_refined_outside_open_interval_rejected(self, v):
         with pytest.raises(DomainError):
             brute_force_caratheodory_piecewise(v, CFG, refined=True)
+
+    # an unchecked NaN gives a FAIL record with a NaN maximum
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [brute_force_caratheodory_max, brute_force_caratheodory_piecewise])
+    def test_non_finite_argument_rejected(self, fn, x):
+        with pytest.raises(DomainError, match="must be finite"):
+            fn(x, CFG)
 
 
 class TestVerificationRecord:
