@@ -95,9 +95,18 @@ def effective_numbers(bp: BernardiParams) -> tuple[float, float]:
     because L_n < 1 away from c = 0; the message reports the effective
     values so the caller can see how far off the request was.
     """
-    two, three = deformation_numbers(bp.base)
-    two_eff = two * bernardi_factor(2, bp)
-    three_eff = three * bernardi_factor(3, bp)
+    return _effective(bp, *deformation_numbers(bp.base), *_multipliers(bp))
+
+
+def _multipliers(bp: BernardiParams) -> tuple[float, float]:
+    return bernardi_factor(2, bp), bernardi_factor(3, bp)
+
+
+def _effective(
+    bp: BernardiParams, two: float, three: float, L2: float, L3: float
+) -> tuple[float, float]:
+    """``effective_numbers`` from the plain integers and the multipliers."""
+    two_eff, three_eff = two * L2, three * L3
     if two_eff <= 1.0 or three_eff <= 1.0:
         raise DomainError(
             f"operator bound formulas need [2]L2 > 1 and [3]L3 > 1; got "
@@ -151,12 +160,13 @@ def fs_piecewise_bernardi(
     branch values do not; it is inconsistent with the max-form bound and
     may even turn negative, in which case constructing the report fails.
     """
-    k = _kernel(kind, bp)
     if not printed_form:
-        return piecewise_report(k, mu, phi, bp.base)
+        return piecewise_report(_kernel(kind, bp), mu, phi, bp.base)
+    two, three = deformation_numbers(bp.base)
+    k = Kernel.from_numbers(kind, *_effective(bp, two, three, *_multipliers(bp)))
     mu = _require_real(mu)
     t = k.thresholds(phi)
-    plain = Kernel.of(kind, bp.base)
+    plain = Kernel.from_numbers(kind, two, three)
     # the printed branch values are written through v(mu) of the plain integers
     branch, value = plain.select(mu, 1.0 - 2.0 * plain.v(mu, phi), phi, t)
     return BoundReport(
@@ -186,8 +196,9 @@ def verify_fs_bernardi(
     the jets, so the bound holds with slack rather than sharply.
     """
     plain = Kernel.of(kind, bp.base)
-    report = fs_bound_bernardi(kind, mu, phi, bp)
-    L2, L3 = bernardi_factor(2, bp), bernardi_factor(3, bp)
+    L2, L3 = _multipliers(bp)
+    k = Kernel.from_numbers(kind, *_effective(bp, plain.two, plain.three, L2, L3))
+    report = max_form_report(k, mu, phi, bp.base)
     blocks = _oracle._member_blocks(plain, phi, cfg)
     (best,) = _oracle._argmax(blocks, [lambda a2, a3: abs(L3 * a3 - mu * (L2 * a2) ** 2)])
     return _oracle._record(mu, report.value, best, report.branch, cfg)

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple
 
+import numpy as np
+
 from .pq_core import DomainError, PQParams, TruncatedSeries, pq_derivative, pq_number
 
 ClassKind = Literal["starlike", "convex"]
@@ -369,6 +371,21 @@ def subordination_residual(
     return max(abs(quotient.coeffs[k] - expected.coeffs[k]) for k in range(3))
 
 
+def schwarz_jets_from_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w1, w2) arrays from an (n, 4) array of uniform variates in [0, 1).
+
+    Row (u0, u1, u2, u3) gives w1 = sqrt(u0) e^(2 pi i u1), uniform on the
+    closed unit disc, and w2 = sqrt(u2) (1 - |w1|^2) e^(2 pi i u3), uniform
+    on the disc of radius 1 - |w1|^2.  The oracle's random draws and
+    ``sample_schwarz_jet`` both go through this one formula.
+    """
+    r1 = np.sqrt(rows[:, 0])
+    w1 = r1 * np.exp(2j * np.pi * rows[:, 1])
+    r2 = np.sqrt(rows[:, 2]) * (1.0 - r1 * r1)
+    w2 = r2 * np.exp(2j * np.pi * rows[:, 3])
+    return w1, w2
+
+
 def sample_schwarz_jet(rng) -> SchwarzJet:
     """Draw one jet uniformly over the feasibility body.
 
@@ -376,7 +393,5 @@ def sample_schwarz_jet(rng) -> SchwarzJet:
     radius 1 - |w1|^2, which covers the body including its boundary.
     ``rng`` is a numpy Generator; four variates are consumed per jet.
     """
-    u = rng.random(4)
-    w1 = cmath.rect(u[0] ** 0.5, 2.0 * cmath.pi * u[1])
-    w2 = cmath.rect((u[2] ** 0.5) * (1.0 - abs(w1) ** 2), 2.0 * cmath.pi * u[3])
-    return SchwarzJet(w1, w2)
+    w1, w2 = schwarz_jets_from_rows(rng.random((1, 4)))
+    return SchwarzJet(complex(w1[0]), complex(w2[0]))

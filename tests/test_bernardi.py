@@ -183,6 +183,32 @@ class TestOperatorBounds:
             lhs, rhs = refined_lhs_bernardi("convex_low", m, mu, KOEBE, bp)
             assert lhs <= rhs + 1e-9
 
+    def test_plain_numbers_are_checked_once_per_call(self, monkeypatch):
+        # every public bound call checks [2] and [3] of its base pair once
+        import pqfs.bernardi
+        import pqfs.classes
+
+        real, calls = pqfs.classes.deformation_numbers, []
+
+        def counted(params):
+            calls.append(params)
+            return real(params)
+
+        monkeypatch.setattr(pqfs.classes, "deformation_numbers", counted)
+        monkeypatch.setattr(pqfs.bernardi, "deformation_numbers", counted)
+        bp = BernardiParams(1, PQ)
+        small = OracleConfig(grid_density=8, random_samples=0)
+        for call in (
+            lambda: fs_bound_bernardi("starlike", 0.5, KOEBE, bp),
+            lambda: thresholds_bernardi("convex", KOEBE, bp),
+            lambda: fs_piecewise_bernardi("starlike", 0.5, KOEBE, bp),
+            lambda: fs_piecewise_bernardi("starlike", 0.5, KOEBE, bp, printed_form=True),
+            lambda: verify_fs_bernardi("convex", 0.5, KOEBE, bp, small),
+        ):
+            calls.clear()
+            call()
+            assert calls == [PQ]
+
     def test_refined_window_gating(self):
         bp = BernardiParams(1, CLASSIC)
         m = starlike_member(CaratheodoryJet(2, 2), KOEBE, CLASSIC)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from pqfs import oracle
-from pqfs.bernardi import BernardiParams, verify_fs_bernardi
+from pqfs.bernardi import BernardiParams, bernardi_factor, verify_fs_bernardi
 from pqfs.bounds import fs_bound_starlike
-from pqfs.classes import MaMindaTarget
+from pqfs.classes import Kernel, MaMindaTarget, SchwarzJet
 from pqfs.oracle import (
+    DEFAULT_SEED,
     MAX_GRID_DENSITY,
     MAX_RANDOM_SAMPLES,
     MAX_SWEEP_POINTS,
@@ -283,11 +284,85 @@ def _meshgrid_jets(grid_density):
 
 @pytest.mark.parametrize("grid_density", [8, 9, 12, 16, 24, 25])
 def test_grid_is_byte_equal_to_meshgrid_build(grid_density):
-    w1, w2 = oracle._sample_jets.__wrapped__(grid_density, 0, False, 0)
+    grid = oracle._grid.__wrapped__(grid_density)
+    w1, w2 = grid.jets(np.arange(grid.c1.size))
     r1, r2 = _meshgrid_jets(grid_density)
     assert w1.dtype == r1.dtype and w2.dtype == r2.dtype
     assert w1.tobytes() == r1.tobytes()
     assert w2.tobytes() == r2.tobytes()
+    assert grid.c1.dtype == grid.c2.dtype == r1.dtype
+    assert grid.c1.tobytes() == (2.0 * r1).tobytes()
+    assert grid.c2.tobytes() == (2.0 * r1 * r1 + 2.0 * r2).tobytes()
+
+
+@pytest.mark.parametrize("grid_density", [8, 9, 12])
+def test_record_witness_is_the_meshgrid_jet_at_every_index(grid_density):
+    # the witness is rebuilt from its index, one scalar at a time; past the
+    # grid come the extremal jets of the tail
+    cfg = OracleConfig(grid_density=grid_density, random_samples=0)
+    r1, r2 = _meshgrid_jets(grid_density)
+    witnesses = [oracle._record(0.0, 0.0, (0.0, i), "max", cfg).witness for i in range(r1.size + 4)]
+    assert np.array([w.w1 for w in witnesses[: r1.size]]).tobytes() == r1.tobytes()
+    assert np.array([w.w2 for w in witnesses[: r1.size]]).tobytes() == r2.tobytes()
+    assert [(w.w1, w.w2) for w in witnesses[r1.size :]] == [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+def test_seeds_share_one_grid():
+    oracle._grid.cache_clear()
+    for seed in (1, 2):
+        verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig(grid_density=10, random_samples=50, seed=seed))
+    info = oracle._grid.cache_info()
+    assert info.misses == info.currsize == 1
+
+
+class TestPlainArgmaxReference:
+    # every check against np.argmax over the whole sample set at once
+    CFG = OracleConfig(grid_density=10, random_samples=700, seed=5)
+
+    @staticmethod
+    def _expect(values, w1, w2):
+        i = int(np.argmax(values))
+        return float(values[i]).hex(), SchwarzJet(complex(w1[i]), complex(w2[i]))
+
+    @staticmethod
+    def _got(r):
+        return r.empirical_max.hex(), r.witness
+
+    @pytest.mark.parametrize("block", [None, 97])
+    def test_records_equal_the_reference(self, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(oracle, "BLOCK", block)
+        cfg = self.CFG
+        w1, w2, c1, c2 = oracle._caratheodory_samples(cfg)
+        got, expected = [], []
+        for kind in ("starlike", "convex"):
+            k = Kernel.of(kind, PQ)
+            a2, a3 = k.member(c1, c2, KOEBE)
+            mus = [-1.0 + 0.5 * j for j in range(7)]
+            for mu, e in zip(mus, sweep(kind, (-1.0, 2.0, 0.5), KOEBE, PQ, cfg)):
+                got.append(self._got(e.record))
+                expected.append(self._expect(np.abs(a3 - mu * a2 * a2), w1, w2))
+            mu = 0.3 + 0.4j
+            got.append(self._got(verify_fs(kind, mu, KOEBE, PQ, cfg)))
+            expected.append(self._expect(np.abs(a3 - mu * a2 * a2), w1, w2))
+            t1, _, t3 = k.thresholds(KOEBE)
+            mu = t1 + 0.5 * (t3 - t1)
+            _, penalty = k.refined_penalty(mu, KOEBE)
+            got.append(self._got(verify_refined(kind, mu, KOEBE, PQ, cfg)))
+            expected.append(self._expect(k.refined_functional(a2, a3, mu, penalty), w1, w2))
+            bp = BernardiParams(2, PQ)
+            L2, L3 = bernardi_factor(2, bp), bernardi_factor(3, bp)
+            for mu in (0.5, -1.0 + 0.5j):
+                got.append(self._got(verify_fs_bernardi(kind, mu, KOEBE, bp, cfg)))
+                expected.append(self._expect(abs(L3 * a3 - mu * (L2 * a2) ** 2), w1, w2))
+        mu = 0.3 + 0.4j
+        got.append(self._got(brute_force_caratheodory_max(mu, cfg)))
+        expected.append(self._expect(np.abs(c2 - mu * c1 * c1), w1, w2))
+        got.append(self._got(brute_force_caratheodory_piecewise(-1.0, cfg)))
+        expected.append(self._expect(np.abs(c2 - -1.0 * c1 * c1), w1, w2))
+        got.append(self._got(brute_force_caratheodory_piecewise(0.7, cfg, refined=True)))
+        expected.append(self._expect(np.abs(c2 - 0.7 * c1 * c1) + (1.0 - 0.7) * np.abs(c1) ** 2, w1, w2))
+        assert got == expected
 
 
 class TestBlockedReduction:
@@ -357,3 +432,17 @@ class TestBlockedReduction:
                 assert tracemalloc.get_traced_memory()[1] < 2 * 2**20
         finally:
             tracemalloc.stop()
+
+    def test_fresh_seed_allocates_only_its_tail(self):
+        # the grid is shared across seeds: a new seed draws 10,004 tail jets
+        # (0.3 MiB kept), while the grid's c1 and c2 are 5.1 MiB
+        verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig())
+        oracle._sample_jets.cache_clear()
+        tracemalloc.start()
+        try:
+            verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig(seed=DEFAULT_SEED + 1))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.5 * 2**20
+        assert peak < 2 * 2**20
