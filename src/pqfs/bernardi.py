@@ -18,6 +18,7 @@ refused with an error reporting the effective values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import oracle as _oracle
@@ -34,9 +35,16 @@ from .oracle import OracleConfig, VerificationRecord
 from .pq_core import DomainError, PQParams, TruncatedSeries, pq_integral, pq_number
 
 
+#: Largest operator order c.  [n+c] is a sum of n+c terms, and with p > 0.5
+#: (every pair the bound formulas admit) [n+c] >= p^(n+c-1) > 0.5^1002 at
+#: n = 3, still a normal float; far larger c underflows [n+c] to 0.
+MAX_BERNARDI_ORDER = 1000
+
+
 @dataclass(frozen=True)
 class BernardiParams:
-    """Operator order c (a nonnegative integer) over a base deformation pair."""
+    """Operator order c (an integer in [0, ``MAX_BERNARDI_ORDER``]) over a
+    base deformation pair."""
 
     c: int
     base: PQParams
@@ -45,13 +53,26 @@ class BernardiParams:
         # bool is an int subclass, but True is not an operator order
         if isinstance(self.c, bool) or not isinstance(self.c, int) or self.c < 0:
             raise DomainError(f"operator order c must be an integer >= 0, got {self.c!r}")
+        if self.c > MAX_BERNARDI_ORDER:
+            raise DomainError(f"operator order c must be <= {MAX_BERNARDI_ORDER}, got {self.c}")
 
 
 def bernardi_factor(n: int, bp: BernardiParams) -> float:
-    """Coefficient multiplier L_n = [1+c] / [n+c] for n >= 1; L_1 = 1."""
+    """Coefficient multiplier L_n = [1+c] / [n+c] for n >= 1; L_1 = 1.
+
+    Refused when [n+c] underflows to 0 or the ratio is not finite, which a
+    base pair with p + q <= 1, such as (0.3, 0.2), reaches at large c.
+    """
     if n < 1:
         raise DomainError(f"bernardi_factor needs n >= 1, got n={n}")
-    return pq_number(1 + bp.c, bp.base) / pq_number(n + bp.c, bp.base)
+    den = pq_number(n + bp.c, bp.base)
+    factor = pq_number(1 + bp.c, bp.base) / den if den != 0.0 else math.inf
+    if not math.isfinite(factor):
+        raise DomainError(
+            f"Bernardi factor L_{n} = [{1 + bp.c}]/[{n + bp.c}] is not finite for c={bp.c}, "
+            f"(p, q)=({bp.base.p:g}, {bp.base.q:g}): [{n + bp.c}]={den:g}"
+        )
+    return factor
 
 
 def bernardi_transform(f: TruncatedSeries, bp: BernardiParams) -> TruncatedSeries:
@@ -179,10 +200,10 @@ def refined_lhs_bernardi(
 ) -> tuple[float, float]:
     """Refined functional for the transformed jet, with effective integers
     supplying the thresholds, penalty and cap."""
-    sm = bernardi_member(m, bp)
-    two_eff, three_eff = effective_numbers(bp)
+    L2, L3 = _multipliers(bp)
+    two_eff, three_eff = _effective(bp, *deformation_numbers(bp.base), L2, L3)
     k = Kernel.from_numbers(_window_kind(window), two_eff, three_eff)
-    return refined_lhs(k, window, sm.a2, sm.a3, mu, phi)
+    return refined_lhs(k, window, L2 * m.a2, L3 * m.a3, mu, phi)
 
 
 def verify_fs_bernardi(

@@ -260,17 +260,24 @@ class Kernel(NamedTuple):
             den = three * (three - 1.0) * b1 * b1
             head = two * two * (two - 1.0) * b1 * b1
             fac = (two * two - 1.0) ** 2
-            return (
+            out = (
                 (head + fac * (b2 - b1)) / den,
                 (head + fac * (b2 + b1)) / den,
                 (head + fac * b2) / den,
             )
-        B, K = self.B, self.K
+        else:
+            B, K = self.B, self.K
 
-        def crossing(t: float) -> float:
-            return (b1 * b1 + B * (b2 + (2.0 * t - 1.0) * b1)) / (K * b1 * b1)
+            def crossing(t: float) -> float:
+                return (b1 * b1 + B * (b2 + (2.0 * t - 1.0) * b1)) / (K * b1 * b1)
 
-        return crossing(0.0), crossing(1.0), crossing(0.5)
+            out = crossing(0.0), crossing(1.0), crossing(0.5)
+        # b1 * b1 overflows for huge targets, and NaN thresholds send every mu to
+        # the last branch.  t - t is 0 exactly for finite t (inf and NaN give NaN);
+        # unlike math.isfinite it also accepts a kernel evaluated on sympy symbols.
+        if not all(t - t == 0 for t in out):
+            raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: got {out!r}")
+        return out
 
     def select(
         self, mu: float, arg: float, phi: MaMindaTarget, t: tuple[float, float, float]

@@ -11,7 +11,10 @@ as coefficient jets (truncated Taylor series); nothing in this module
 evaluates a function on the disc.
 
 Everything here is an immutable value and every operation is pure, so the
-module is safe to use from concurrent code without locking.
+module is safe to use from concurrent code without locking.  The one piece
+of state, the memo of deformed integers a ``PQParams`` keeps, is
+idempotent: each entry is written once per n, and a racing second write
+stores the same float.
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class PQParams:
-    """The deformation pair (p, q), validated strictly as 0 < q < p <= 1."""
+    """The deformation pair (p, q), validated strictly as 0 < q < p <= 1.
+
+    Each instance also keeps a private memo ``_numbers`` of the deformed
+    integers ``pq_number`` has summed for it.  The memo is an instance
+    attribute, not a dataclass field, so equality, hashing and repr see
+    only (p, q); copies and pickles carry it along, which is harmless
+    because every entry is a function of (p, q) alone.
+    """
 
     p: float
     q: float
@@ -40,6 +50,7 @@ class PQParams:
                 f"need 0 < q < p <= 1, got (p, q)=({self.p:g}, {self.q:g}); "
                 "use PQParams.limit for the closed boundary q = p"
             )
+        object.__setattr__(self, "_numbers", {})
 
     @classmethod
     def limit(cls, p: float = 1.0, q: float = 1.0) -> "PQParams":
@@ -55,6 +66,7 @@ class PQParams:
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_numbers", {})
         return self
 
 
@@ -63,12 +75,18 @@ def pq_number(n: int, params: PQParams) -> float:
 
     The summation form is used instead of (p^n - q^n)/(p - q) because it
     stays finite and continuous through p = q; the two agree to roundoff
-    away from that diagonal.  [0] = 0 by the empty sum.
+    away from that diagonal.  [0] = 0 by the empty sum.  The sum runs once
+    per n for each params object; later calls return the stored float.
     """
+    memo = params._numbers
+    value = memo.get(n)
+    if value is not None:
+        return value
     if n < 0:
         raise DomainError(f"pq_number needs n >= 0, got n={n}")
     p, q = params.p, params.q
-    return math.fsum(p**k * q ** (n - 1 - k) for k in range(n))
+    value = memo[n] = math.fsum(p**k * q ** (n - 1 - k) for k in range(n))
+    return value
 
 
 @dataclass(frozen=True, init=False)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from pqfs.bernardi import (
+    MAX_BERNARDI_ORDER,
     BernardiParams,
     bernardi_factor,
     bernardi_member,
@@ -27,7 +30,7 @@ CFG = OracleConfig(grid_density=12, random_samples=3000)
 
 
 class TestParams:
-    @pytest.mark.parametrize("c", [-1, 1.5, "2"])
+    @pytest.mark.parametrize("c", [-1, 1.5, "2", MAX_BERNARDI_ORDER + 1])
     def test_invalid_order_rejected(self, c):
         with pytest.raises(DomainError):
             BernardiParams(c, PQ)
@@ -55,6 +58,20 @@ class TestFactor:
     def test_n_zero_rejected(self):
         with pytest.raises(DomainError):
             bernardi_factor(0, BernardiParams(1, PQ))
+
+    def test_largest_order_factors_stay_finite(self):
+        # p just above 1/2 is the smallest base the bound formulas admit
+        bp = BernardiParams(MAX_BERNARDI_ORDER, PQParams(0.5 + 1e-9, 0.5 - 1e-9))
+        for n in (2, 3):
+            assert 0.0 < bernardi_factor(n, bp) < math.inf
+
+    def test_underflowed_integer_rejected(self):
+        # the transform accepts any base; [n+c] of (0.3, 0.2) underflows to 0 here
+        bp = BernardiParams(MAX_BERNARDI_ORDER, PQParams(0.3, 0.2))
+        with pytest.raises(DomainError, match="not finite"):
+            bernardi_factor(2, bp)
+        with pytest.raises(DomainError, match="not finite"):
+            bernardi_transform(TruncatedSeries([0, 1, 0.5, 0.25]), bp)
 
     @pytest.mark.parametrize("params", [CLASSIC, PQParams(1.0, 0.3), PQParams(1.0, 0.9)])
     @pytest.mark.parametrize("c", [0, 1, 3])
@@ -208,6 +225,33 @@ class TestOperatorBounds:
             calls.clear()
             call()
             assert calls == [PQ]
+
+    def test_refined_lhs_computes_each_multiplier_once(self, monkeypatch):
+        import pqfs.bernardi
+
+        real, calls = pqfs.bernardi.bernardi_factor, []
+
+        def counted(n, bp):
+            calls.append(n)
+            return real(n, bp)
+
+        monkeypatch.setattr(pqfs.bernardi, "bernardi_factor", counted)
+        bp = BernardiParams(1, CLASSIC)
+        m = convex_member(CaratheodoryJet(1.0, 0.5), KOEBE, CLASSIC)
+        t1, _, t3 = thresholds_bernardi("convex", KOEBE, bp)
+        mu = (t1 + t3) / 2.0
+        calls.clear()
+        lhs, cap = refined_lhs_bernardi("convex_low", m, mu, KOEBE, bp)
+        assert sorted(calls) == [2, 3]
+        assert lhs <= cap
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_non_finite_thresholds_rejected(self, printed):
+        huge = MaMindaTarget((1e308, 1e308))
+        with pytest.raises(DomainError, match="thresholds are not finite"):
+            thresholds_bernardi("convex", huge, BernardiParams(2, PQ), printed_form=printed)
+        with pytest.raises(DomainError, match="thresholds are not finite"):
+            fs_piecewise_bernardi("starlike", 0.5, huge, BernardiParams(2, PQ), printed_form=printed)
 
     def test_refined_window_gating(self):
         bp = BernardiParams(1, CLASSIC)

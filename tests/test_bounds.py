@@ -16,7 +16,7 @@ from pqfs.bounds import (
     v_convex,
     v_starlike,
 )
-from pqfs.classes import CaratheodoryJet, MaMindaTarget, convex_member, starlike_member
+from pqfs.classes import CaratheodoryJet, Kernel, MaMindaTarget, convex_member, starlike_member
 from pqfs.pq_core import DomainError, PQParams
 
 KOEBE = MaMindaTarget.koebe()
@@ -160,6 +160,16 @@ class TestThresholds:
     def test_hypotheses_enforced(self, b):
         with pytest.raises(DomainError):
             sigma_thresholds(MaMindaTarget(b), CLASSIC)
+
+    @pytest.mark.parametrize("kind, printed", [("starlike", False), ("convex", False), ("convex", True)])
+    def test_non_finite_thresholds_rejected(self, kind, printed):
+        # b1 * b1 overflows, which would make every threshold NaN
+        with pytest.raises(DomainError, match=r"not finite for b1=1e\+308, b2=1e\+308"):
+            Kernel.of(kind, PQ).thresholds(MaMindaTarget((1e308, 1e308)), printed)
+
+    def test_piecewise_branch_needs_finite_thresholds(self):
+        with pytest.raises(DomainError, match="not finite"):
+            fs_piecewise_starlike(0.8, MaMindaTarget((2e154, 0.0)), PQ)
 
 
 class TestPiecewiseBounds:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pqfs.bernardi import MAX_BERNARDI_ORDER
 from pqfs.cli import MAX_REGION_GRID, main
 from pqfs.oracle import MAX_GRID_DENSITY, MAX_RANDOM_SAMPLES
 
@@ -66,6 +67,14 @@ class TestBoundCommand:
         assert out == ""
         assert "mu must be finite" in err
 
+    def test_piecewise_non_finite_thresholds_exit_2(self, capsys):
+        code, out, err = run(
+            ["bound", "--form", "piecewise", "--phi", "2e154,0", "--p", "0.9", "--q", "0.6", "--mu", "0.8"],
+            capsys,
+        )
+        assert code == 2
+        assert "thresholds are not finite" in err and out == ""
+
     def test_non_finite_phi_exit_2(self, capsys):
         code, _, err = run(["bound", "--phi", "2,nan", "--p", "0.9", "--q", "0.6", "--mu", "0"], capsys)
         assert code == 2
@@ -96,6 +105,12 @@ class TestThresholdsCommand:
         )
         assert code == 0
         assert "rho2: 2.16666666667" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--class", "convex", "--printed-thresholds"]])
+    def test_non_finite_thresholds_exit_2(self, capsys, extra):
+        code, out, err = run(["thresholds", "--phi", "1e308,1e308", "--p", "0.9", "--q", "0.6", *extra], capsys)
+        assert code == 2
+        assert "thresholds are not finite" in err and out == ""
 
 
 class TestVerifyCommand:
@@ -291,6 +306,21 @@ class TestBernardiCommand:
         )
         assert code == 2
         assert "[2]L2" in err
+
+    def test_non_finite_thresholds_exit_2(self, capsys):
+        code, out, err = run(
+            ["bernardi", "--c", "2", "--thresholds", "--phi", "1e308,1e308", "--p", "0.9", "--q", "0.6"],
+            capsys,
+        )
+        assert code == 2
+        assert "thresholds are not finite" in err and out == ""
+
+    @pytest.mark.parametrize("c", ["8000", "100000000"])
+    def test_order_above_limit_exit_2(self, capsys, c):
+        # c = 8000 underflows [n+c] to 0, and c = 10^8 would sum 10^8 terms
+        code, out, err = run(["bernardi", "--c", c, "--p", "0.9", "--q", "0.6", "--mu", "0"], capsys)
+        assert code == 2
+        assert f"must be <= {MAX_BERNARDI_ORDER}" in err and out == ""
 
 
 class TestLimitsCommand:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +64,56 @@ class TestPQNumber:
         exact = (fp**n - fq**n) / (fp - fq)
         assert pq_number(n, params) == pytest.approx(float(exact), abs=1e-12)
         assert pq_number(n, params) > 0.0
+
+
+def _fresh_sum(n, p, q):
+    return math.fsum(p**k * q ** (n - 1 - k) for k in range(n))
+
+
+class TestPQNumberMemo:
+    def test_each_number_is_summed_once_per_params(self, monkeypatch):
+        real, calls = math.fsum, []
+
+        def counted(terms):
+            calls.append(None)
+            return real(terms)
+
+        monkeypatch.setattr(math, "fsum", counted)
+        a, b = PQParams(0.9, 0.6), PQParams(0.9, 0.6)
+        for _ in range(3):
+            for n in range(6):
+                pq_number(n, a)
+        assert len(calls) == 6
+        pq_number(3, b)
+        assert len(calls) == 7  # an equal pair is a separate object with its own memo
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("route", ["constructor", "limit", "replace", "copy", "pickle"])
+    def test_every_route_matches_a_fresh_sum(self, route, warm):
+        source = PQParams(0.9, 0.6)
+        if warm:
+            # a memo filled before copying must not leak into a pair with another q
+            for n in range(12):
+                pq_number(n, source)
+        params = {
+            "constructor": lambda: PQParams(source.p, source.q),
+            "limit": lambda: PQParams.limit(source.p, source.p),
+            "replace": lambda: dataclasses.replace(source, q=0.3),
+            "copy": lambda: copy.copy(source),
+            "pickle": lambda: pickle.loads(pickle.dumps(source)),
+        }[route]()
+        for n in range(12):
+            expected = _fresh_sum(n, params.p, params.q).hex()
+            assert pq_number(n, params).hex() == expected
+            assert pq_number(n, params).hex() == expected
+
+    def test_memo_is_invisible_to_equality_hash_and_repr(self):
+        warm, cold = PQParams(0.9, 0.6), PQParams(0.9, 0.6)
+        pq_number(5, warm)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold) == "PQParams(p=0.9, q=0.6)"
+        assert PQParams.limit(1.0, 1.0) == PQParams.limit(1.0, 1.0)
+        assert warm != PQParams(0.9, 0.5)
 
 
 class TestSeriesArithmetic:
