@@ -10,10 +10,11 @@ operator arises from the integral form: multiply by t^(c-1), take the
 deformed antiderivative, and divide by z^c; both routes are implemented
 so they can be checked against each other.
 
-Bound variants substitute the effective integers [2]L2 and [3]L3 into
-the max-form, piecewise and refined kernels.  Since L_n < 1 typically,
-the effective integers drop below 1 for many (c, p, q); that regime is
-refused with an error reporting the effective values.
+A member jet (a2, a3) maps to (L2 a2, L3 a3), the member jet of the class
+kernel rescaled by ``Kernel.scaled``, so every bound variant here is sharp
+over the image class for every c >= 0.  The paper's form, with the
+"effective integers" [2]L2, [3]L3 in the plain kernel, does not bound the
+image class; it is kept only behind ``printed_form``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import oracle as _oracle
 from .bounds import (
     BoundReport,
     _require_real,
@@ -31,7 +31,7 @@ from .bounds import (
     refined_lhs,
 )
 from .classes import ClassKind, Kernel, MaMindaTarget, MemberJet, deformation_numbers
-from .oracle import OracleConfig, VerificationRecord
+from .oracle import OracleConfig, VerificationRecord, _verify_fs
 from .pq_core import DomainError, PQParams, TruncatedSeries, pq_integral, pq_number
 
 
@@ -109,24 +109,24 @@ def bernardi_transform_integral(f: TruncatedSeries, bp: BernardiParams) -> Trunc
     return pq_number(1 + c, bp.base) * _shift_down(pq_integral(integrand, bp.base), c)
 
 
-def effective_numbers(bp: BernardiParams) -> tuple[float, float]:
-    """([2] L2, [3] L3), the deformed integers the bound kernels see.
-
-    Rejected when either drops to 1 or below, a regime that is common
-    because L_n < 1 away from c = 0; the message reports the effective
-    values so the caller can see how far off the request was.
-    """
-    return _effective(bp, *deformation_numbers(bp.base), *_multipliers(bp))
-
-
 def _multipliers(bp: BernardiParams) -> tuple[float, float]:
     return bernardi_factor(2, bp), bernardi_factor(3, bp)
 
 
-def _effective(
-    bp: BernardiParams, two: float, three: float, L2: float, L3: float
-) -> tuple[float, float]:
-    """``effective_numbers`` from the plain integers and the multipliers."""
+def _kernel(kind: ClassKind, bp: BernardiParams) -> Kernel:
+    """The kernel of the image class, whose member jets are (L2 a2, L3 a3)."""
+    return Kernel.of(kind, bp.base).scaled(*_multipliers(bp))
+
+
+def effective_numbers(bp: BernardiParams) -> tuple[float, float]:
+    """([2] L2, [3] L3), the paper's effective integers of the
+    ``printed_form`` variants; refused when either is <= 1, as at c = 0."""
+    return _effective(bp, *deformation_numbers(bp.base))
+
+
+def _effective(bp: BernardiParams, two: float, three: float) -> tuple[float, float]:
+    """``effective_numbers`` from the plain integers."""
+    L2, L3 = _multipliers(bp)
     two_eff, three_eff = two * L2, three * L3
     if two_eff <= 1.0 or three_eff <= 1.0:
         raise DomainError(
@@ -149,23 +149,22 @@ def bernardi_member(m: MemberJet, bp: BernardiParams) -> MemberJet:
     )
 
 
-def _kernel(kind: ClassKind, bp: BernardiParams) -> Kernel:
-    return Kernel.from_numbers(kind, *effective_numbers(bp))
-
-
 def fs_bound_bernardi(
     kind: ClassKind, mu: complex, phi: MaMindaTarget, bp: BernardiParams
 ) -> BoundReport:
-    """Max-form bound with the effective integers; reduces to the plain
-    bound when both multipliers are 1."""
+    """Sharp max-form bound over the image class, L3 times the plain bound
+    at mu L2^2 / L3; it is the plain bound when both multipliers are 1."""
     return max_form_report(_kernel(kind, bp), mu, phi, bp.base)
 
 
 def thresholds_bernardi(
     kind: ClassKind, phi: MaMindaTarget, bp: BernardiParams, printed_form: bool = False
 ) -> tuple[float, float, float]:
-    """Piecewise thresholds with the effective integers."""
-    return _kernel(kind, bp).thresholds(phi, printed_form)
+    """Piecewise thresholds of the image class; ``printed_form`` gives the
+    paper's, those of the effective integers in the printed normalization."""
+    if printed_form:
+        return Kernel.from_numbers(kind, *effective_numbers(bp)).thresholds(phi, printed_form)
+    return _kernel(kind, bp).thresholds(phi)
 
 
 _PRINTED_BRANCHES = ("below_printed", "mid_printed", "above_printed")
@@ -174,20 +173,19 @@ _PRINTED_BRANCHES = ("below_printed", "mid_printed", "above_printed")
 def fs_piecewise_bernardi(
     kind: ClassKind, mu: float, phi: MaMindaTarget, bp: BernardiParams, printed_form: bool = False
 ) -> BoundReport:
-    """Piecewise bound with the effective integers.
+    """Piecewise bound of the image class; equals ``fs_bound_bernardi``.
 
-    ``printed_form`` reproduces the comparison variant that circulates in
-    print, whose thresholds carry the operator multipliers but whose
-    branch values do not; it is inconsistent with the max-form bound and
+    ``printed_form`` reproduces the paper's claim, whose thresholds are
+    those of the effective integers but whose branch values are those of
+    the plain integers; it is inconsistent with the max-form bound and
     may even turn negative, in which case constructing the report fails.
     """
     if not printed_form:
         return piecewise_report(_kernel(kind, bp), mu, phi, bp.base)
-    two, three = deformation_numbers(bp.base)
-    k = Kernel.from_numbers(kind, *_effective(bp, two, three, *_multipliers(bp)))
+    plain = Kernel.of(kind, bp.base)
+    k = Kernel.from_numbers(kind, *_effective(bp, plain.two, plain.three))
     mu = _require_real(mu)
     t = k.thresholds(phi)
-    plain = Kernel.from_numbers(kind, two, three)
     # the printed branch values are written through v(mu) of the plain integers
     branch, value = plain.select(mu, 1.0 - 2.0 * plain.v(mu, phi), phi, t)
     return BoundReport(
@@ -198,28 +196,17 @@ def fs_piecewise_bernardi(
 def refined_lhs_bernardi(
     window: str, m: MemberJet, mu: float, phi: MaMindaTarget, bp: BernardiParams
 ) -> tuple[float, float]:
-    """Refined functional for the transformed jet, with effective integers
-    supplying the thresholds, penalty and cap."""
+    """Refined functional of the transformed jet (L2 a2, L3 a3) and its cap,
+    inside a threshold window of the image class."""
     L2, L3 = _multipliers(bp)
-    two_eff, three_eff = _effective(bp, *deformation_numbers(bp.base), L2, L3)
-    k = Kernel.from_numbers(_window_kind(window), two_eff, three_eff)
+    k = Kernel.of(_window_kind(window, m), bp.base).scaled(L2, L3)
     return refined_lhs(k, window, L2 * m.a2, L3 * m.a3, mu, phi)
 
 
 def verify_fs_bernardi(
     kind: ClassKind, mu: complex, phi: MaMindaTarget, bp: BernardiParams, cfg: OracleConfig
 ) -> VerificationRecord:
-    """Brute-force check of the operator bound over transformed jets.
-
-    Member jets are built from the sampled body with the plain integers,
-    scaled coefficientwise by (L2, L3), and the functional maximum is
-    compared with the effective-number bound.  The transform contracts
-    the jets, so the bound holds with slack rather than sharply.
-    """
-    plain = Kernel.of(kind, bp.base)
-    L2, L3 = _multipliers(bp)
-    k = Kernel.from_numbers(kind, *_effective(bp, plain.two, plain.three, L2, L3))
-    report = max_form_report(k, mu, phi, bp.base)
-    blocks = _oracle._member_blocks(plain, phi, cfg)
-    (best,) = _oracle._argmax(blocks, [lambda a2, a3: abs(L3 * a3 - mu * (L2 * a2) ** 2)])
-    return _oracle._record(mu, report.value, best, report.branch, cfg)
+    """Brute-force check of ``fs_bound_bernardi``: the oracle's max-form
+    check with the image-class kernel, whose member jets are the sampled
+    jets transformed by the operator."""
+    return _verify_fs(_kernel(kind, bp), mu, phi, bp.base, cfg)

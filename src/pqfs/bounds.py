@@ -14,8 +14,8 @@ piecewise bound (real mu, b1 > 0, b2 >= 0) are computed through the same
 quantity arg = b2/b1 + (b1/B)(1 - K mu) = 1 - 2v, so the two forms agree
 bit for bit wherever both apply.  The formulas live in ``classes.Kernel``;
 the starlike/convex functions here build the kernel once per call and
-wrap its values in reports.  The report functions taking a kernel exist so
-integral-operator variants can reuse them with rescaled deformed integers.
+wrap its values in reports.  The report functions taking a kernel also
+serve the Bernardi variants, through ``Kernel.scaled``.
 
 Everything is pure and immutable; concurrent sweeps need no locking.
 """
@@ -148,12 +148,15 @@ def fs_piecewise_convex(mu: float, phi: MaMindaTarget, params: PQParams) -> Boun
     return piecewise_report(Kernel.of("convex", params), mu, phi, params)
 
 
-def _window_kind(window: str) -> str:
+def _window_kind(window: str, m: MemberJet) -> str:
     """The class kind of a refined window name, which must be one of
-    ``REFINED_WINDOWS``."""
+    ``REFINED_WINDOWS`` and match the kind of the member jet."""
     if window not in REFINED_WINDOWS:
         raise DomainError(f"unknown refined window {window!r}, expected one of {REFINED_WINDOWS}")
-    return window.rsplit("_", 1)[0]
+    kind = window.rsplit("_", 1)[0]
+    if kind != m.kind:
+        raise DomainError(f"window {window!r} does not match a {m.kind} member jet")
+    return kind
 
 
 def refined_lhs(
@@ -170,7 +173,4 @@ def refined_inequality_lhs(
     window: str, m: MemberJet, mu: float, phi: MaMindaTarget, params: PQParams
 ) -> tuple[float, float]:
     """Window-gated refined inequality for a constructed member jet."""
-    kind = _window_kind(window)
-    if not window.startswith(m.kind):
-        raise DomainError(f"window {window!r} does not match a {m.kind} member jet")
-    return refined_lhs(Kernel.of(kind, params), window, m.a2, m.a3, mu, phi)
+    return refined_lhs(Kernel.of(_window_kind(window, m), params), window, m.a2, m.a3, mu, phi)

@@ -178,7 +178,8 @@ class Kernel(NamedTuple):
     three-branch selection and the refined windows are written here once,
     for Python scalars and numpy arrays alike.  ``of`` builds a kernel from
     (p, q); ``from_numbers`` from integers the caller has already checked
-    to exceed 1, such as the Bernardi effective integers.
+    to exceed 1; ``scaled`` to the jets (L2 a2, L3 a3) of an operator image,
+    such as the Bernardi image class.
     """
 
     kind: ClassKind
@@ -187,7 +188,10 @@ class Kernel(NamedTuple):
     A: float
     B: float
     E: float
-    K: float
+
+    @property
+    def K(self) -> float:
+        return self.A * self.B / (self.E * self.E)
 
     @classmethod
     def of(cls, kind: ClassKind, params: PQParams) -> "Kernel":
@@ -202,9 +206,15 @@ class Kernel(NamedTuple):
             A, E = three * (three - 1.0), two * (two - 1.0)
         else:
             raise DomainError(f"unknown class kind {kind!r}")
-        B = two - 1.0
         # tuple.__new__ skips the generated __new__: a kernel is built on every call
-        return tuple.__new__(cls, (kind, two, three, A, B, E, A * B / (E * E)))
+        return tuple.__new__(cls, (kind, two, three, A, two - 1.0, E))
+
+    def scaled(self, L2: float, L3: float) -> "Kernel":
+        """The kernel of the mapped jets (L2 a2, L3 a3): E/L2 and A/L3, B
+        unchanged, so K becomes K L2^2 / L3; ``two`` and ``three`` stay."""
+        if not (0.0 < L2 < math.inf and 0.0 < L3 < math.inf):
+            raise DomainError(f"kernel multipliers must be finite and > 0, got L2={L2!r}, L3={L3!r}")
+        return tuple.__new__(Kernel, (self.kind, self.two, self.three, self.A / L3, self.B, self.E / L2))
 
     def member(self, c1, c2, phi: MaMindaTarget):
         """(a2, a3) of the member with Caratheodory data (c1, c2):

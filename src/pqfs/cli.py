@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bern.add_argument("--c", type=int, default=1, help="operator order (integer >= 0)")
     p_bern.add_argument("--form", choices=("max", "piecewise"), default="max")
     p_bern.add_argument("--thresholds", action="store_true", help="print thresholds and exit")
-    p_bern.add_argument("--printed-thresholds", action="store_true")
+    p_bern.add_argument("--printed-thresholds", action="store_true", help="the paper's effective-integer form")
     p_bern.add_argument("--verify", action="store_true", help="also run the brute-force check")
     p_bern.set_defaults(func=_cmd_bernardi)
 

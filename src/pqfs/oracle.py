@@ -99,7 +99,8 @@ class VerificationRecord:
 
     ``gap`` is theoretical - empirical_max: a positive gap means the
     sample set did not attain the bound, a negative gap beyond the
-    tolerance means the bound was violated (an implementation bug).
+    tolerance means the bound was violated (an implementation bug);
+    ``attained`` means |gap| <= tolerance.
     """
 
     mu: complex
@@ -293,7 +294,7 @@ def _record(
         theoretical=theoretical,
         empirical_max=empirical,
         gap=gap,
-        attained=gap <= cfg.tolerance,
+        attained=abs(gap) <= cfg.tolerance,
         witness=SchwarzJet(complex(w1), complex(w2)),
         branch=branch,
         tolerance=cfg.tolerance,
@@ -333,17 +334,15 @@ def brute_force_caratheodory_piecewise(
 
 
 def _fs_outcomes(
-    kind: ClassKind, mus: Sequence[complex], phi: MaMindaTarget, params: PQParams, cfg: OracleConfig
+    k: Kernel, mus: Sequence[complex], phi: MaMindaTarget, params: PQParams, cfg: OracleConfig
 ) -> list[VerificationRecord | DomainError]:
     """One record per mu, or the DomainError of its bound, from a single
-    pass over the member blocks.
+    pass over the member blocks of the kernel k.
 
-    A DomainError of the set-up (the kernel) is raised.  Each block
-    evaluates |a3 - mu a2^2| for every mu through two scratch buffers;
-    the buffered steps are the ufuncs of ``abs(a3 - mu * a2 * a2)`` in
-    the same order, so the values match that expression bit for bit.
+    Each block evaluates |a3 - mu a2^2| for every mu through two scratch
+    buffers; the buffered steps are the ufuncs of ``abs(a3 - mu * a2 * a2)``
+    in the same order, so the values match that expression bit for bit.
     """
-    k = Kernel.of(kind, params)
     reports: list[BoundReport | DomainError] = []
     for mu in mus:
         try:
@@ -379,7 +378,11 @@ def verify_fs(
 ) -> VerificationRecord:
     """Maximize |a3 - mu a2^2| over member jets built from the sampled body
     and compare with the max-form bound."""
-    (out,) = _fs_outcomes(kind, [mu], phi, params, cfg)
+    return _verify_fs(Kernel.of(kind, params), mu, phi, params, cfg)
+
+
+def _verify_fs(k: Kernel, mu: complex, phi: MaMindaTarget, params: PQParams, cfg: OracleConfig):
+    (out,) = _fs_outcomes(k, [mu], phi, params, cfg)
     if isinstance(out, DomainError):
         raise out
     return out
@@ -435,7 +438,7 @@ def sweep(
         )
     mus = [lo + k * step for k in range(count)]
     try:
-        outcomes = _fs_outcomes(kind, mus, phi, params, cfg)
+        outcomes = _fs_outcomes(Kernel.of(kind, params), mus, phi, params, cfg)
     except DomainError as exc:
         return [SweepEntry(mu=mu, record=None, error=str(exc)) for mu in mus]
     return [

@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from pqfs.bernardi import BernardiParams, bernardi_factor, bernardi_transform, bernardi_transform_integral, verify_fs_bernardi
+from pqfs.bernardi import (
+    BernardiParams,
+    bernardi_factor,
+    bernardi_transform,
+    bernardi_transform_integral,
+    fs_piecewise_bernardi,
+    verify_fs_bernardi,
+)
 from pqfs.bounds import (
     fs_bound_convex,
     fs_bound_starlike,
@@ -205,6 +212,27 @@ def test_criterion_8_bernardi():
             if r.empirical_max > r.theoretical + 1e-9:
                 violations.append(("operator bound", c, float(mu), r.empirical_max, r.theoretical))
     _report(8, "two-route operator equality, exact classical factors, operator bound oracle", violations)
+
+
+def test_criterion_8_bernardi_bound_is_sharp():
+    # the operator bound must hold and be attained for every order c >= 0;
+    # for real mu the piecewise form must agree with the max form
+    violations = []
+    for params in PQ_SET:
+        for phi in PHI_SET:
+            for kind in KINDS:
+                for c in range(6):
+                    bp = BernardiParams(c, params)
+                    for mu in (-1.0, 0.0, 0.5, 1.0, 2.0, 0.3 + 0.4j):
+                        r = verify_fs_bernardi(kind, mu, phi, bp, CFG)
+                        case = (kind, c, params.p, params.q, phi.b, mu, r.empirical_max, r.theoretical)
+                        if r.status != "PASS" or not r.attained:
+                            violations.append(("not sharp", *case))
+                        if isinstance(mu, float):
+                            piecewise = fs_piecewise_bernardi(kind, mu, phi, bp).value
+                            if abs(piecewise - r.theoretical) > 1e-12:
+                                violations.append(("piecewise", *case, piecewise))
+    _report(8, "Bernardi bound sound and attained for c in 0..5 across PQ_SET x PHI_SET", violations)
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -17,7 +17,7 @@ from pqfs.bernardi import (
     thresholds_bernardi,
     verify_fs_bernardi,
 )
-from pqfs.bounds import fs_bound_starlike, max_form_report
+from pqfs.bounds import fs_bound_starlike, max_form_report, refined_inequality_lhs
 from pqfs.classes import CaratheodoryJet, MaMindaTarget, convex_member, starlike_member
 from pqfs.oracle import OracleConfig
 from pqfs.pq_core import DomainError, PQParams, TruncatedSeries
@@ -139,22 +139,24 @@ class TestOperatorBounds:
         assert reduced.value == plain.value
 
     def test_application_bound_classical_c1(self):
-        # effective integers (4/3, 3/2); max term 1 + 2/(1/3) = 7; bound (2/0.5)*7
+        # L3 |a3| <= (1/2) 3: the image of the Koebe function attains it
         report = fs_bound_bernardi("starlike", 0.0, KOEBE, BernardiParams(1, CLASSIC))
-        assert report.value == pytest.approx(28.0, abs=1e-12)
+        assert report.value == pytest.approx(1.5, abs=1e-12)
 
     def test_application_bound_classical_c2(self):
-        # effective integers (3/2, 9/5); max term 1 + 2/0.5 = 5; bound (2/0.8)*5
+        # L3 |a3| <= (3/5) 3
         report = fs_bound_bernardi("starlike", 0.0, KOEBE, BernardiParams(2, CLASSIC))
-        assert report.value == pytest.approx(12.5, abs=1e-12)
+        assert report.value == pytest.approx(1.8, abs=1e-12)
 
     def test_application_bound_convex_classical_c1(self):
+        # L3 |a3| <= (1/2) 1
         report = fs_bound_bernardi("convex", 0.0, KOEBE, BernardiParams(1, CLASSIC))
-        assert report.value == pytest.approx(56 / 3, abs=1e-12)
+        assert report.value == pytest.approx(0.5, abs=1e-12)
 
     def test_thresholds_classical_c1(self):
+        # the plain thresholds (1/2, 1, 3/4) divided by L2^2 / L3 = 8/9
         t = thresholds_bernardi("starlike", KOEBE, BernardiParams(1, CLASSIC))
-        assert t == pytest.approx((2 / 3, 8 / 9, 7 / 9), abs=1e-12)
+        assert t == pytest.approx((0.5625, 1.125, 0.84375), abs=1e-12)
 
     @pytest.mark.parametrize("c", [1, 2])
     @pytest.mark.parametrize("kind", ["starlike", "convex"])
@@ -252,6 +254,15 @@ class TestOperatorBounds:
             thresholds_bernardi("convex", huge, BernardiParams(2, PQ), printed_form=printed)
         with pytest.raises(DomainError, match="thresholds are not finite"):
             fs_piecewise_bernardi("starlike", 0.5, huge, BernardiParams(2, PQ), printed_form=printed)
+
+    def test_refined_window_must_match_member_kind(self):
+        bp = BernardiParams(1, CLASSIC)
+        m = starlike_member(CaratheodoryJet(2, 2), KOEBE, CLASSIC)
+        message = "window 'convex_low' does not match a starlike member jet"
+        with pytest.raises(DomainError, match=message):
+            refined_lhs_bernardi("convex_low", m, 0.5, KOEBE, bp)
+        with pytest.raises(DomainError, match=message):
+            refined_inequality_lhs("convex_low", m, 0.5, KOEBE, CLASSIC)
 
     def test_refined_window_gating(self):
         bp = BernardiParams(1, CLASSIC)

@@ -3,6 +3,7 @@ import pytest
 
 from pqfs.classes import (
     CaratheodoryJet,
+    Kernel,
     MaMindaTarget,
     MemberJet,
     SchwarzJet,
@@ -167,3 +168,21 @@ class TestSubordinationResidual:
             for ctor in (starlike_member, convex_member):
                 m = ctor(c, KOEBE, PQ)
                 assert subordination_residual(m, j, KOEBE, PQ) <= 1e-10
+
+
+class TestScaledKernel:
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    def test_unit_multipliers_keep_the_kernel(self, kind):
+        k = Kernel.of(kind, PQ)
+        assert k.scaled(1.0, 1.0) == k
+
+    def test_scales_and_k(self):
+        k = Kernel.of("starlike", CLASSIC)  # A = 2, B = E = 1, K = 2
+        s = k.scaled(2 / 3, 1 / 2)
+        assert (s.A, s.B, s.E) == pytest.approx((4.0, 1.0, 1.5), abs=1e-15)
+        assert s.K == pytest.approx(k.K * (2 / 3) ** 2 / (1 / 2), abs=1e-15)
+
+    @pytest.mark.parametrize("L2, L3", [(0.0, 1.0), (1.0, -0.5), (float("inf"), 1.0), (1.0, float("nan"))])
+    def test_bad_multipliers_rejected(self, L2, L3):
+        with pytest.raises(DomainError, match="multipliers"):
+            Kernel.of("convex", PQ).scaled(L2, L3)

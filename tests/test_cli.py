@@ -280,7 +280,7 @@ class TestBernardiCommand:
             capsys,
         )
         assert code == 0
-        assert "value:  28" in out
+        assert "value:  1.5" in out
 
     def test_thresholds(self, capsys):
         code, out, _ = run(
@@ -288,7 +288,7 @@ class TestBernardiCommand:
             capsys,
         )
         assert code == 0
-        assert "t1: 0.666666666667" in out
+        assert "t1: 0.5625" in out
 
     def test_verify(self, capsys):
         code, out, _ = run(
@@ -300,12 +300,13 @@ class TestBernardiCommand:
         assert "PASS" in out
 
     def test_degenerate_c_zero_exit_2(self, capsys):
-        code, _, err = run(
+        # c = 0 is the identity operator: the plain bound, no longer refused
+        code, out, _ = run(
             ["bernardi", "--c", "0", "--class", "starlike", "--p", "0.9", "--q", "0.6", "--mu", "0"],
             capsys,
         )
-        assert code == 2
-        assert "[2]L2" in err
+        assert code == 0
+        assert "value:  8.23655382588" in out
 
     def test_non_finite_thresholds_exit_2(self, capsys):
         code, out, err = run(

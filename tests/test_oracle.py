@@ -133,6 +133,14 @@ class TestVerificationRecord:
         assert not record.passed
         assert record.status == "FAIL"
 
+    def test_violated_bound_is_not_attained(self):
+        # the empirical value sits 1e-6 above the theoretical one
+        cfg = OracleConfig(grid_density=8, random_samples=0)
+        record = oracle._record(0.0, 1.0, (1.0 + 1e-6, 0), "max_form", cfg)
+        assert record.status == "FAIL"
+        assert not record.attained
+        assert oracle._record(0.0, 1.0, (1.0 - 1e-12, 0), "max_form", cfg).attained
+
 
 class TestVerifyFS:
     def test_starlike_classical(self):
