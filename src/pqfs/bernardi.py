@@ -31,7 +31,7 @@ from .bounds import (
     refined_lhs,
 )
 from .classes import ClassKind, Kernel, MaMindaTarget, MemberJet, deformation_numbers
-from .oracle import OracleConfig, VerificationRecord, _verify_fs
+from .oracle import OracleConfig, VerificationRecord, max_form_check
 from .pq_core import DomainError, PQParams, TruncatedSeries, pq_integral, pq_number
 
 
@@ -113,8 +113,14 @@ def _multipliers(bp: BernardiParams) -> tuple[float, float]:
     return bernardi_factor(2, bp), bernardi_factor(3, bp)
 
 
-def _kernel(kind: ClassKind, bp: BernardiParams) -> Kernel:
-    """The kernel of the image class, whose member jets are (L2 a2, L3 a3)."""
+def image_kernel(kind: ClassKind, bp: BernardiParams, printed_form: bool = False) -> Kernel:
+    """The kernel of the image class, whose member jets are (L2 a2, L3 a3).
+
+    ``printed_form`` gives instead the plain kernel of the paper's
+    effective integers ([2] L2, [3] L3), whose printed-form thresholds
+    are the paper's; it does not bound the image class."""
+    if printed_form:
+        return Kernel.from_numbers(kind, *effective_numbers(bp))
     return Kernel.of(kind, bp.base).scaled(*_multipliers(bp))
 
 
@@ -154,7 +160,7 @@ def fs_bound_bernardi(
 ) -> BoundReport:
     """Sharp max-form bound over the image class, L3 times the plain bound
     at mu L2^2 / L3; it is the plain bound when both multipliers are 1."""
-    return max_form_report(_kernel(kind, bp), mu, phi, bp.base)
+    return max_form_report(image_kernel(kind, bp), mu, phi, bp.base)
 
 
 def thresholds_bernardi(
@@ -162,9 +168,7 @@ def thresholds_bernardi(
 ) -> tuple[float, float, float]:
     """Piecewise thresholds of the image class; ``printed_form`` gives the
     paper's, those of the effective integers in the printed normalization."""
-    if printed_form:
-        return Kernel.from_numbers(kind, *effective_numbers(bp)).thresholds(phi, printed_form)
-    return _kernel(kind, bp).thresholds(phi)
+    return image_kernel(kind, bp, printed_form).thresholds(phi, printed_form)
 
 
 _PRINTED_BRANCHES = ("below_printed", "mid_printed", "above_printed")
@@ -176,16 +180,17 @@ def fs_piecewise_bernardi(
     """Piecewise bound of the image class; equals ``fs_bound_bernardi``.
 
     ``printed_form`` reproduces the paper's claim, whose thresholds are
-    those of the effective integers but whose branch values are those of
-    the plain integers; it is inconsistent with the max-form bound and
-    may even turn negative, in which case constructing the report fails.
+    those of ``thresholds_bernardi(..., printed_form=True)`` but whose
+    branch values are those of the plain integers; it is inconsistent with
+    the max-form bound and may even turn negative, in which case
+    constructing the report fails.
     """
     if not printed_form:
-        return piecewise_report(_kernel(kind, bp), mu, phi, bp.base)
+        return piecewise_report(image_kernel(kind, bp), mu, phi, bp.base)
     plain = Kernel.of(kind, bp.base)
     k = Kernel.from_numbers(kind, *_effective(bp, plain.two, plain.three))
     mu = _require_real(mu)
-    t = k.thresholds(phi)
+    t = k.thresholds(phi, printed_form=True)
     # the printed branch values are written through v(mu) of the plain integers
     branch, value = plain.select(mu, 1.0 - 2.0 * plain.v(mu, phi), phi, t)
     return BoundReport(
@@ -209,4 +214,4 @@ def verify_fs_bernardi(
     """Brute-force check of ``fs_bound_bernardi``: the oracle's max-form
     check with the image-class kernel, whose member jets are the sampled
     jets transformed by the operator."""
-    return _verify_fs(_kernel(kind, bp), mu, phi, bp.base, cfg)
+    return max_form_check(image_kernel(kind, bp), mu, phi, bp.base, cfg)

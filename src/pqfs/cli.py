@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: bound, thresholds, verify, sweep, bernardi, limits, region.
-Exit codes: 0 when everything requested passed, 1 when a brute-force
-check found a bound violation, 2 on usage or domain errors.  Output is
-deterministic for a fixed seed (PQFS_SEED or --seed).
+Subcommands: bound, thresholds, verify, sweep, limits, region.  With
+``--c N``, bound, thresholds and verify work on the image of the class
+under the Bernardi operator of order N.  Exit codes: 0 when everything
+requested passed, 1 when a brute-force check found a bound violation, 2
+on usage or domain errors.  Output is deterministic for a fixed seed
+(PQFS_SEED or --seed).
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import argparse
 import csv
 import os
 import sys
-from typing import Sequence, TextIO
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -66,6 +69,14 @@ def _parse_mu_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
+def _kernel(args: argparse.Namespace, params: PQParams, printed_form: bool = False) -> Kernel:
+    """The class kernel, or with --c the kernel of the Bernardi image class
+    (``bernardi.image_kernel``)."""
+    if args.c is None:
+        return Kernel.of(args.class_kind, params)
+    return bn.image_kernel(args.class_kind, bn.BernardiParams(args.c, params), printed_form)
+
+
 def _oracle_config(args: argparse.Namespace) -> OracleConfig:
     return OracleConfig(
         grid_density=args.grid,
@@ -103,23 +114,24 @@ def emit_csv(entries: Sequence[SweepEntry], stream: TextIO) -> None:
             )
 
 
-def _open_out(args: argparse.Namespace) -> TextIO:
+@contextmanager
+def _output(args: argparse.Namespace) -> Iterator[TextIO]:
+    """The --out file, closed on exit, or stdout when --out is absent."""
     if args.out is None:
-        return sys.stdout
+        yield sys.stdout
+        return
     try:
-        return open(args.out, "w", encoding="utf-8", newline="")
+        stream = open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise DomainError(f"cannot write {args.out!r}: {exc}") from None
+    with stream:
+        yield stream
 
 
 def _write_entries(entries: list[SweepEntry], args: argparse.Namespace) -> None:
     if args.format == "csv":
-        stream = _open_out(args)
-        try:
+        with _output(args) as stream:
             emit_csv(entries, stream)
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
         return
     for e in sorted(entries, key=lambda e: e.mu):
         if e.record is None:
@@ -147,7 +159,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     params = _parse_params(args.p, args.q)
     mu = _parse_mu(args.mu)
     form = bounds.max_form_report if args.form == "max" else bounds.piecewise_report
-    report = form(Kernel.of(args.class_kind, params), mu, phi, params)
+    report = form(_kernel(args, params), mu, phi, params)
     print(f"value:  {_FMT(report.value)}")
     print(f"branch: {report.branch}")
     if report.thresholds is not None:
@@ -159,7 +171,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
     params = _parse_params(args.p, args.q)
-    t = Kernel.of(args.class_kind, params).thresholds(phi, args.printed_thresholds)
+    t = _kernel(args, params, args.printed_thresholds).thresholds(phi, args.printed_thresholds)
     names = ("sigma1", "sigma2", "sigma3") if args.class_kind == "starlike" else ("rho1", "rho2", "rho3")
     for name, value in zip(names, t):
         print(f"{name}: {_FMT(value)}")
@@ -170,21 +182,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
     params = _parse_params(args.p, args.q)
     mu = _parse_mu(args.mu)
+    if args.format == "csv" and isinstance(mu, complex):
+        raise DomainError("csv output supports real mu only")
     cfg = _oracle_config(args)
+    k = _kernel(args, params)
     if args.refined:
-        record = oracle.verify_refined(args.class_kind, mu, phi, params, cfg)
+        record = oracle.refined_check(k, mu, phi, cfg)
     else:
-        record = oracle.verify_fs(args.class_kind, mu, phi, params, cfg)
+        record = oracle.max_form_check(k, mu, phi, params, cfg)
     if args.format == "csv":
-        if isinstance(mu, complex):
-            raise DomainError("csv output supports real mu only")
-        entry = SweepEntry(mu=float(mu), record=record)
-        stream = _open_out(args)
-        try:
-            emit_csv([entry], stream)
-        finally:
-            if stream is not sys.stdout:
-                stream.close()
+        _write_entries([SweepEntry(mu=mu, record=record)], args)
     else:
         _print_record(record)
     return 0 if record.passed else 1
@@ -203,29 +210,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.format != "csv" or args.out is not None:
         print(f"sweep: {n_pass} pass, {n_fail} fail, {n_skip} skip", file=sys.stderr)
     return 1 if n_fail else 0
-
-
-def _cmd_bernardi(args: argparse.Namespace) -> int:
-    phi = _parse_phi(args.phi)
-    bp = bn.BernardiParams(args.c, _parse_params(args.p, args.q))
-    kind = args.class_kind
-    if args.thresholds:
-        t = bn.thresholds_bernardi(kind, phi, bp, printed_form=args.printed_thresholds)
-        for name, value in zip(("t1", "t2", "t3"), t):
-            print(f"{name}: {_FMT(value)}")
-        return 0
-    mu = _parse_mu(args.mu)
-    if args.form == "max":
-        report = bn.fs_bound_bernardi(kind, mu, phi, bp)
-    else:
-        report = bn.fs_piecewise_bernardi(kind, mu, phi, bp, printed_form=args.printed_thresholds)
-    print(f"value:  {_FMT(report.value)}")
-    print(f"branch: {report.branch}")
-    if not args.verify:
-        return 0
-    record = bn.verify_fs_bernardi(kind, mu, phi, bp, _oracle_config(args))
-    _print_record(record)
-    return 0 if record.passed else 1
 
 
 def _limit_checks() -> list[tuple[str, float, float, float]]:
@@ -307,8 +291,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
     # cell centers keep every sample strictly inside (-1, 1) on each axis
     axis = (np.arange(args.grid) + 0.5) * (2.0 / args.grid) - 1.0
-    stream = _open_out(args)
-    try:
+    with _output(args) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["x", "y", "re"])
         for x in axis:
@@ -324,19 +307,21 @@ def _cmd_region(args: argparse.Namespace) -> int:
                 re = np.where(near_zero, origin, re)
             for y, val in zip(axis, re):
                 writer.writerow([_FMT(x), _FMT(y), "nan" if np.isnan(val) else _FMT(val)])
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, seed: int, mu: bool = True) -> None:
+def _add_class(sub: argparse.ArgumentParser, mu: bool, c: bool) -> None:
     sub.add_argument("--class", dest="class_kind", choices=("starlike", "convex"), default="starlike")
     sub.add_argument("--phi", default="koebe", help="'koebe' or comma-separated reals 'b1,b2[,...]'")
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--q", type=float, required=True)
     if mu:
         sub.add_argument("--mu", default="0", help="real or complex, e.g. 0.5 or 1+0.5j")
+    if c:
+        sub.add_argument("--c", type=int, default=None, help="Bernardi operator order (integer >= 0)")
+
+
+def _add_oracle(sub: argparse.ArgumentParser, seed: int) -> None:
     sub.add_argument("--grid", type=int, default=24, help="oracle grid density per dimension")
     sub.add_argument("--samples", type=int, default=10_000, help="oracle random samples")
     sub.add_argument("--no-extremals", action="store_true", help="do not force extremal jets")
@@ -365,37 +350,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="compute one bound value")
-    _add_common(p_bound, seed)
+    _add_class(p_bound, mu=True, c=True)
     p_bound.add_argument("--form", choices=("max", "piecewise"), default="max")
     p_bound.set_defaults(func=_cmd_bound)
 
     p_thr = sub.add_parser("thresholds", help="print the piecewise thresholds")
-    _add_common(p_thr, seed, mu=False)
-    p_thr.add_argument("--printed-thresholds", action="store_true")
+    _add_class(p_thr, mu=False, c=True)
+    p_thr.add_argument("--printed-thresholds", action="store_true", help="the paper's printed form")
     p_thr.set_defaults(func=_cmd_thresholds)
 
     p_verify = sub.add_parser("verify", help="brute-force check one bound")
-    _add_common(p_verify, seed)
+    _add_class(p_verify, mu=True, c=True)
+    _add_oracle(p_verify, seed)
     p_verify.add_argument("--refined", action="store_true", help="check the refined inequality")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="verify a range of mu values")
-    _add_common(p_sweep, seed, mu=False)
+    _add_class(p_sweep, mu=False, c=False)
+    _add_oracle(p_sweep, seed)
     p_sweep.add_argument(
         "--mu-range",
         required=True,
         help="'lo:hi:step', endpoints inclusive; write --mu-range=-2:3:0.25 for negative lo",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_bern = sub.add_parser("bernardi", help="operator-transformed bounds and checks")
-    _add_common(p_bern, seed)
-    p_bern.add_argument("--c", type=int, default=1, help="operator order (integer >= 0)")
-    p_bern.add_argument("--form", choices=("max", "piecewise"), default="max")
-    p_bern.add_argument("--thresholds", action="store_true", help="print thresholds and exit")
-    p_bern.add_argument("--printed-thresholds", action="store_true", help="the paper's effective-integer form")
-    p_bern.add_argument("--verify", action="store_true", help="also run the brute-force check")
-    p_bern.set_defaults(func=_cmd_bernardi)
 
     p_limits = sub.add_parser("limits", help="classical-limit regression table")
     p_limits.set_defaults(func=_cmd_limits)

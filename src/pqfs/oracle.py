@@ -378,10 +378,14 @@ def verify_fs(
 ) -> VerificationRecord:
     """Maximize |a3 - mu a2^2| over member jets built from the sampled body
     and compare with the max-form bound."""
-    return _verify_fs(Kernel.of(kind, params), mu, phi, params, cfg)
+    return max_form_check(Kernel.of(kind, params), mu, phi, params, cfg)
 
 
-def _verify_fs(k: Kernel, mu: complex, phi: MaMindaTarget, params: PQParams, cfg: OracleConfig):
+def max_form_check(
+    k: Kernel, mu: complex, phi: MaMindaTarget, params: PQParams, cfg: OracleConfig
+) -> VerificationRecord:
+    """``verify_fs`` over the member jets of the kernel k, such as the
+    Bernardi image kernel."""
     (out,) = _fs_outcomes(k, [mu], phi, params, cfg)
     if isinstance(out, DomainError):
         raise out
@@ -393,8 +397,13 @@ def verify_refined(
 ) -> VerificationRecord:
     """Maximize the refined functional over member jets inside the threshold
     window that contains mu; window violations surface as domain errors."""
+    return refined_check(Kernel.of(kind, params), mu, phi, cfg)
+
+
+def refined_check(k: Kernel, mu: float, phi: MaMindaTarget, cfg: OracleConfig) -> VerificationRecord:
+    """``verify_refined`` over the member jets of the kernel k, against its
+    cap b1 / A."""
     mu = _require_real(mu)
-    k = Kernel.of(kind, params)
     side, penalty = k.refined_penalty(mu, phi)
 
     def values(a2: np.ndarray, a3: np.ndarray) -> np.ndarray:

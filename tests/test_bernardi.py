@@ -13,13 +13,14 @@ from pqfs.bernardi import (
     effective_numbers,
     fs_bound_bernardi,
     fs_piecewise_bernardi,
+    image_kernel,
     refined_lhs_bernardi,
     thresholds_bernardi,
     verify_fs_bernardi,
 )
 from pqfs.bounds import fs_bound_starlike, max_form_report, refined_inequality_lhs
 from pqfs.classes import CaratheodoryJet, MaMindaTarget, convex_member, starlike_member
-from pqfs.oracle import OracleConfig
+from pqfs.oracle import OracleConfig, refined_check
 from pqfs.pq_core import DomainError, PQParams, TruncatedSeries
 
 KOEBE = MaMindaTarget.koebe()
@@ -175,6 +176,13 @@ class TestOperatorBounds:
         assert report.value == pytest.approx(1.0, abs=1e-12)
         assert report.thresholds == pytest.approx((2 / 3, 8 / 9, 7 / 9), abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    def test_printed_piecewise_uses_the_printed_thresholds(self, kind):
+        # the convex report used to carry the effective integers' plain thresholds
+        bp = BernardiParams(1, CLASSIC)
+        report = fs_piecewise_bernardi(kind, 0.8, KOEBE, bp, printed_form=True)
+        assert report.thresholds == thresholds_bernardi(kind, KOEBE, bp, printed_form=True)
+
     @pytest.mark.parametrize("c", [1, 2])
     @pytest.mark.parametrize("kind", ["starlike", "convex"])
     def test_oracle_on_transformed_jets(self, kind, c):
@@ -182,6 +190,23 @@ class TestOperatorBounds:
         for mu in (-1.0, 0.0, 0.5, 1.0, 2.0):
             record = verify_fs_bernardi(kind, mu, KOEBE, bp, CFG)
             assert record.empirical_max <= record.theoretical + 1e-9
+
+    @pytest.mark.parametrize("params", [PQ, CLASSIC])
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    def test_refined_cap_holds_and_is_attained(self, kind, params):
+        # the oracle's refined check over the image kernel, against the cap of refined_lhs_bernardi
+        member = starlike_member if kind == "starlike" else convex_member
+        m = member(CaratheodoryJet(1.0, 0.5), KOEBE, params)
+        for c in range(6):
+            bp = BernardiParams(c, params)
+            k = image_kernel(kind, bp)
+            t1, t2, t3 = k.thresholds(KOEBE)
+            for side, mu in (("low", (t1 + t3) / 2.0), ("high", (t3 + t2) / 2.0)):
+                record = refined_check(k, mu, KOEBE, CFG)
+                _, cap = refined_lhs_bernardi(f"{kind}_{side}", m, mu, KOEBE, bp)
+                assert record.theoretical == cap
+                assert record.branch == f"refined_{side}"
+                assert record.status == "PASS" and record.attained
 
     def test_transformed_member_jet(self):
         m = starlike_member(CaratheodoryJet(2, 2), KOEBE, CLASSIC)
@@ -220,6 +245,7 @@ class TestOperatorBounds:
         for call in (
             lambda: fs_bound_bernardi("starlike", 0.5, KOEBE, bp),
             lambda: thresholds_bernardi("convex", KOEBE, bp),
+            lambda: thresholds_bernardi("convex", KOEBE, bp, printed_form=True),
             lambda: fs_piecewise_bernardi("starlike", 0.5, KOEBE, bp),
             lambda: fs_piecewise_bernardi("starlike", 0.5, KOEBE, bp, printed_form=True),
             lambda: verify_fs_bernardi("convex", 0.5, KOEBE, bp, small),

@@ -157,10 +157,23 @@ class TestVerifyCommand:
             mu=0.0, theoretical=1.0, empirical_max=2.0, gap=-1.0, attained=True,
             witness=SchwarzJet(1, 0), branch="max_form", tolerance=1e-9,
         )
-        monkeypatch.setattr("pqfs.cli.oracle.verify_fs", lambda *a, **k: bad)
+        monkeypatch.setattr("pqfs.cli.oracle.max_form_check", lambda *a, **k: bad)
         code, out, _ = run(["verify", "--class", "starlike", "--p", "1", "--q", "1", "--mu", "0"], capsys)
         assert code == 1
         assert "FAIL" in out
+
+    def test_csv_complex_mu_refused_before_sampling(self, capsys, monkeypatch):
+        import pqfs.oracle
+
+        def sampled(*args):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(pqfs.oracle, "_caratheodory_blocks", sampled)
+        code, out, err = run(
+            ["verify", "--p", "1", "--q", "1", "--mu", "0.3+0.4j", "--format", "csv", *FAST], capsys
+        )
+        assert code == 2 and out == ""
+        assert "real mu only" in err
 
 
 class TestSweepCommand:
@@ -276,7 +289,7 @@ class TestSweepCommand:
 class TestBernardiCommand:
     def test_bound_value(self, capsys):
         code, out, _ = run(
-            ["bernardi", "--c", "1", "--class", "starlike", "--p", "1", "--q", "1", "--mu", "0"],
+            ["bound", "--c", "1", "--class", "starlike", "--p", "1", "--q", "1", "--mu", "0"],
             capsys,
         )
         assert code == 0
@@ -284,25 +297,33 @@ class TestBernardiCommand:
 
     def test_thresholds(self, capsys):
         code, out, _ = run(
-            ["bernardi", "--c", "1", "--class", "starlike", "--p", "1", "--q", "1", "--thresholds"],
+            ["thresholds", "--c", "1", "--class", "starlike", "--p", "1", "--q", "1"],
             capsys,
         )
         assert code == 0
-        assert "t1: 0.5625" in out
+        assert "sigma1: 0.5625" in out
 
     def test_verify(self, capsys):
         code, out, _ = run(
-            ["bernardi", "--c", "2", "--class", "convex", "--p", "1", "--q", "1", "--mu", "0.5",
-             "--verify", *FAST],
+            ["verify", "--c", "2", "--class", "convex", "--p", "1", "--q", "1", "--mu", "0.5", *FAST],
             capsys,
         )
         assert code == 0
         assert "PASS" in out
 
+    def test_verify_refined(self, capsys):
+        # the cap b1 / A of the image kernel, attained by a forced extremal jet
+        code, out, _ = run(
+            ["verify", "--c", "2", "--refined", "--p", "0.9", "--q", "0.6", "--mu", "0.8", *FAST],
+            capsys,
+        )
+        assert code == 0
+        assert "theoretical: 2.81838476886" in out and "attained:    yes" in out
+
     def test_degenerate_c_zero_exit_2(self, capsys):
         # c = 0 is the identity operator: the plain bound, no longer refused
         code, out, _ = run(
-            ["bernardi", "--c", "0", "--class", "starlike", "--p", "0.9", "--q", "0.6", "--mu", "0"],
+            ["bound", "--c", "0", "--class", "starlike", "--p", "0.9", "--q", "0.6", "--mu", "0"],
             capsys,
         )
         assert code == 0
@@ -310,7 +331,7 @@ class TestBernardiCommand:
 
     def test_non_finite_thresholds_exit_2(self, capsys):
         code, out, err = run(
-            ["bernardi", "--c", "2", "--thresholds", "--phi", "1e308,1e308", "--p", "0.9", "--q", "0.6"],
+            ["thresholds", "--c", "2", "--phi", "1e308,1e308", "--p", "0.9", "--q", "0.6"],
             capsys,
         )
         assert code == 2
@@ -319,7 +340,7 @@ class TestBernardiCommand:
     @pytest.mark.parametrize("c", ["8000", "100000000"])
     def test_order_above_limit_exit_2(self, capsys, c):
         # c = 8000 underflows [n+c] to 0, and c = 10^8 would sum 10^8 terms
-        code, out, err = run(["bernardi", "--c", c, "--p", "0.9", "--q", "0.6", "--mu", "0"], capsys)
+        code, out, err = run(["bound", "--c", c, "--p", "0.9", "--q", "0.6", "--mu", "0"], capsys)
         assert code == 2
         assert f"must be <= {MAX_BERNARDI_ORDER}" in err and out == ""
 
@@ -426,6 +447,18 @@ def test_oracle_budget_above_limit_exit_2(budget, capsys):
     )
     assert code == 2
     assert "must be in" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bound", "--mu", "0", "--out", "x.csv"], ["thresholds", "--grid", "48"], ["bernardi", "--c", "1"]],
+)
+def test_options_a_command_does_not_read_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # oracle and output options belong to verify and sweep; Bernardi is --c
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run([*argv, "--p", "1", "--q", "1"], capsys)
+    assert code == 2 and out == ""
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_module_entry_point_runs():
