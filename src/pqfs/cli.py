@@ -173,6 +173,8 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     params = _parse_params(args.p, args.q)
     t = _kernel(args, params, args.printed_thresholds).thresholds(phi, args.printed_thresholds)
     names = ("sigma1", "sigma2", "sigma3") if args.class_kind == "starlike" else ("rho1", "rho2", "rho3")
+    if args.printed_thresholds:
+        print("printed: the paper's thresholds as printed (its claim), not derived from the sharp bound")
     for name, value in zip(names, t):
         print(f"{name}: {_FMT(value)}")
     return 0

@@ -10,8 +10,8 @@ bound, witnessing sharpness.
 
 The sample set is two cached parts: the grid, which depends on the grid
 density alone and is shared by every seed and budget (kept as its
-Caratheodory data c1, c2, at most 4 densities cached), and the per-seed
-tail of random and extremal jets (at most 16 cached).  Every functional
+Caratheodory data c1, c2, for the last density used), and the per-seed
+tail of random and extremal jets (for the last config used).  Every functional
 is evaluated block by block over slices of at most ``BLOCK`` jets of one
 part, and a sweep evaluates all its mu on each block in one pass, so no
 check allocates an array as long as the sample set.
@@ -51,9 +51,11 @@ MAX_SWEEP_POINTS = 100_000
 MAX_GRID_DENSITY = 48
 MAX_RANDOM_SAMPLES = 1_000_000
 
-#: Jets per block of the blocked reductions: no oracle check allocates
-#: an array longer than this, apart from the cached sample set.
-BLOCK = 8192
+#: Jets per block of the blocked reductions: no oracle check allocates an
+#: array longer than this, apart from the cached sample set.  A complex
+#: block is 128,000 bytes, under glibc's 131,072-byte mmap threshold, so its
+#: temporaries always come from the heap, whatever was allocated before.
+BLOCK = 8000
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ class _Grid(NamedTuple):
         return self.disc[outer], np.multiply(self.disc[inner], self.shrink[outer])
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _grid(grid_density: int) -> _Grid:
     """The grid part of the sample set, shared by every seed and budget.
 
@@ -164,10 +166,10 @@ def _grid(grid_density: int) -> _Grid:
     disc and w2 = (u3 + i u4)(1 - |w1|^2) kept inside its shrunken disc, in
     the "ij" order of a four-way meshgrid.  The kept points are the product
     of the 2-D disc grid with itself, so they are built as disc x disc.
-    Only c1 = 2 w1 and c2 = 2 w1^2 + 2 w2 are stored (about 32 bytes per
-    jet: 5.3 MB at density 24, 94 MB at density 48).  They are computed
-    in place, so that the build holds at most three jet-sized complex
-    arrays, with the ufuncs of ``2.0 * w1`` and ``2.0 * w1 * w1 + 2.0 * w2``.
+    Only c1 = 2 w1 and c2 = 2 w1^2 + 2 w2 are stored, for the last density
+    only (about 32 bytes per jet: 5.3 MB at density 24, 94 MB at 48), and
+    computed in place, so that the build holds at most three jet-sized
+    complex arrays, with the ufuncs of ``2.0 * w1`` and ``2.0 * w1 * w1 + 2.0 * w2``.
     """
     u = np.linspace(-1.0, 1.0, grid_density)
     disc = (u[:, None] + 1j * u[None, :]).ravel()
@@ -186,7 +188,7 @@ def _grid(grid_density: int) -> _Grid:
     return _Grid(disc, shrink, c1, c2)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _sample_jets(
     random_samples: int, include_extremals: bool, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +198,7 @@ def _sample_jets(
     ``schwarz_jets_from_rows`` (w1 uniform on the disc, then w2 uniform on
     the disc of radius 1 - |w1|^2), drawn row-wise so that a larger budget
     extends a smaller one.  Extremal jets (1, 0) and (0, 1) and their
-    negatives are appended last when requested.
+    negatives are appended last when requested.  Only the last tail is kept.
     """
     rows = np.random.default_rng(seed).random((random_samples, 4))
     w1, w2 = schwarz_jets_from_rows(rows)

@@ -277,6 +277,11 @@ class TestRefinedInequality:
         with pytest.raises(DomainError, match="needs mu in"):
             refined_inequality_lhs("starlike_low", m, 0.2, KOEBE, CLASSIC)
 
+    def test_high_window_violation_identified(self):
+        m = starlike_member(CaratheodoryJet(2, 2), KOEBE, CLASSIC)
+        with pytest.raises(DomainError, match=r"^starlike_high needs mu in \[0.75, 1\), got mu=0.6$"):
+            refined_inequality_lhs("starlike_high", m, 0.6, KOEBE, CLASSIC)
+
     def test_kind_mismatch_rejected(self):
         m = starlike_member(CaratheodoryJet(2, 2), KOEBE, CLASSIC)
         with pytest.raises(DomainError):

@@ -98,6 +98,18 @@ class TestThresholdsCommand:
         assert code == 0
         assert "sigma1: 0.5" in out and "sigma2: 1" in out and "sigma3: 0.75" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--c", "2"]])
+    def test_printed_thresholds_are_labelled(self, capsys, extra):
+        # the printed set is the paper's claim; the sharp set carries no label
+        argv = ["thresholds", "--class", "convex", "--p", "1", "--q", "1", *extra]
+        code, sharp, _ = run(argv, capsys)
+        assert code == 0 and "printed" not in sharp
+        code, printed, _ = run([*argv, "--printed-thresholds"], capsys)
+        label, *values = printed.splitlines()
+        assert code == 0
+        assert label == "printed: the paper's thresholds as printed (its claim), not derived from the sharp bound"
+        assert [line.split(":")[0] for line in values] == ["rho1", "rho2", "rho3"]
+
     def test_rho_printed_variant(self, capsys):
         code, out, _ = run(
             ["thresholds", "--class", "convex", "--p", "1", "--q", "1", "--printed-thresholds"],
@@ -227,6 +239,18 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    def test_table_rows_with_overflowing_bounds(self, capsys):
+        # the bound overflows for every mu but 0; each such mu is a domain skip
+        code, out, err = run(["sweep", "--p", "0.9", "--q", "0.6", "--mu-range", "0:1.5e308:2.5e307", *FAST], capsys)
+        assert code == 0
+        row, *skips = out.splitlines()
+        assert row == "mu=0  theoretical=14.0845070423  empirical=14.0845070423  gap=0  branch=max_form  PASS"
+        assert skips == [
+            f"mu={mu}  SKIP(domain): bound value must be finite and nonnegative, got inf"
+            for mu in ("2.5e+307", "5e+307", "7.5e+307", "1e+308", "1.25e+308", "1.5e+308")
+        ]
+        assert err == "sweep: 1 pass, 0 fail, 6 skip\n"
 
     def test_too_many_points_exit_2(self, capsys):
         code, out, err = run(["sweep", "--p", "1", "--q", "1", "--mu-range=0:1:1e-9", *FAST], capsys)
@@ -447,6 +471,22 @@ def test_oracle_budget_above_limit_exit_2(budget, capsys):
     )
     assert code == 2
     assert "must be in" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--p", "1", "--q", "1", "--mu", "1+"], "malformed mu '1+'"),
+        (["sweep", "--p", "1", "--q", "1", "--mu-range", "0:1"], "malformed mu range '0:1': expected 'lo:hi:step'"),
+        (["sweep", "--p", "1", "--q", "1", "--mu-range", "0:one:1"], "malformed mu range '0:one:1'"),
+        (["region", "--f", "0,x", "--p", "0.9", "--q", "0.6"], "malformed f spec '0,x': expected comma-separated"),
+        (["verify", "--p", "0.9", "--q", "0.6", "--mu", "5e307", *FAST], "bound value must be finite"),
+    ],
+)
+def test_refusal_texts(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -321,6 +323,49 @@ def test_seeds_share_one_grid():
         verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig(grid_density=10, random_samples=50, seed=seed))
     info = oracle._grid.cache_info()
     assert info.misses == info.currsize == 1
+
+
+def test_caches_keep_one_entry():
+    # one density and one seed at a time is all any caller reuses; four
+    # density-48 grids alone would hold 360 MiB
+    for density, seed in ((16, 1), (24, 2), (12, 3)):
+        cfg = OracleConfig(grid_density=density, random_samples=50, seed=seed)
+        verify_fs("starlike", 0.5, KOEBE, PQ, cfg)
+    assert oracle._grid.cache_info().currsize == 1
+    assert oracle._sample_jets.cache_info().currsize == 1
+
+
+def test_block_temporaries_stay_below_the_mmap_threshold():
+    # glibc serves a chunk of 128 KiB or more (its 16-byte header included)
+    # from mmap or from the heap depending on what was freed before
+    assert oracle.BLOCK * np.dtype(complex).itemsize + 16 <= 128 * 1024
+
+
+def test_threads_at_two_densities_match_serial_records():
+    # with one entry per cache, the two threads evict each other's sample
+    # sets; every record must still be the one a serial run gives
+    cfgs = [OracleConfig(grid_density=d, random_samples=300, seed=d) for d in (10, 12)]
+    expected = [verify_fs("convex", 0.5, KOEBE, PQ, cfg) for cfg in cfgs]
+    results: list[list] = [[], []]
+    rounds = threading.Barrier(2, timeout=60)
+
+    def work(i):
+        for _ in range(20):
+            rounds.wait()  # both threads start each round together
+            results[i].append(verify_fs("convex", 0.5, KOEBE, PQ, cfgs[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[e] * 20 for e in expected]
 
 
 class TestPlainArgmaxReference:
