@@ -22,14 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import (
-    BoundReport,
-    _require_real,
-    _window_kind,
-    max_form_report,
-    piecewise_report,
-    refined_lhs,
-)
+from .bounds import BoundReport, _require_real, max_form_report, piecewise_report, refined_lhs
 from .classes import ClassKind, Kernel, MaMindaTarget, MemberJet, deformation_numbers
 from .oracle import OracleConfig, VerificationRecord, max_form_check
 from .pq_core import DomainError, PQParams, TruncatedSeries, pq_integral, pq_number
@@ -160,7 +153,7 @@ def fs_bound_bernardi(
 ) -> BoundReport:
     """Sharp max-form bound over the image class, L3 times the plain bound
     at mu L2^2 / L3; it is the plain bound when both multipliers are 1."""
-    return max_form_report(image_kernel(kind, bp), mu, phi, bp.base)
+    return max_form_report(image_kernel(kind, bp), mu, phi)
 
 
 def thresholds_bernardi(
@@ -186,16 +179,14 @@ def fs_piecewise_bernardi(
     constructing the report fails.
     """
     if not printed_form:
-        return piecewise_report(image_kernel(kind, bp), mu, phi, bp.base)
+        return piecewise_report(image_kernel(kind, bp), mu, phi)
     plain = Kernel.of(kind, bp.base)
     k = Kernel.from_numbers(kind, *_effective(bp, plain.two, plain.three))
     mu = _require_real(mu)
     t = k.thresholds(phi, printed_form=True)
     # the printed branch values are written through v(mu) of the plain integers
     branch, value = plain.select(mu, 1.0 - 2.0 * plain.v(mu, phi), phi, t)
-    return BoundReport(
-        value=value, branch=_PRINTED_BRANCHES[branch], mu=mu, p=bp.base.p, q=bp.base.q, thresholds=t
-    )
+    return BoundReport(value=value, branch=_PRINTED_BRANCHES[branch], mu=mu, thresholds=t)
 
 
 def refined_lhs_bernardi(
@@ -204,7 +195,7 @@ def refined_lhs_bernardi(
     """Refined functional of the transformed jet (L2 a2, L3 a3) and its cap,
     inside a threshold window of the image class."""
     L2, L3 = _multipliers(bp)
-    k = Kernel.of(_window_kind(window, m), bp.base).scaled(L2, L3)
+    k = Kernel.of(m.kind, bp.base).scaled(L2, L3)
     return refined_lhs(k, window, L2 * m.a2, L3 * m.a3, mu, phi)
 
 
@@ -214,4 +205,4 @@ def verify_fs_bernardi(
     """Brute-force check of ``fs_bound_bernardi``: the oracle's max-form
     check with the image-class kernel, whose member jets are the sampled
     jets transformed by the operator."""
-    return max_form_check(image_kernel(kind, bp), mu, phi, bp.base, cfg)
+    return max_form_check(image_kernel(kind, bp), mu, phi, cfg)

@@ -36,8 +36,6 @@ _PIECEWISE_BRANCHES = {
     "convex": ("below_rho1", "mid_rho", "above_rho2"),
 }
 
-REFINED_WINDOWS = ("starlike_low", "starlike_high", "convex_low", "convex_high")
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -46,8 +44,6 @@ class BoundReport:
     value: float
     branch: str
     mu: complex
-    p: float
-    q: float
     thresholds: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -78,10 +74,9 @@ def caratheodory_piecewise_bound(v: float) -> float:
     return 4.0 * v - 2.0
 
 
-def max_form_report(k: Kernel, mu: complex, phi: MaMindaTarget, params: PQParams) -> BoundReport:
+def max_form_report(k: Kernel, mu: complex, phi: MaMindaTarget) -> BoundReport:
     """Max-form bound (|b1| / A) max(1, |arg|) of a kernel; mu may be complex."""
-    value = k.max_form(mu, phi)
-    return BoundReport(value=value, branch=BRANCH_MAX_FORM, mu=mu, p=params.p, q=params.q)
+    return BoundReport(value=k.max_form(mu, phi), branch=BRANCH_MAX_FORM, mu=mu)
 
 
 def v_starlike(mu: complex, phi: MaMindaTarget, params: PQParams) -> complex:
@@ -96,12 +91,12 @@ def v_convex(mu: complex, phi: MaMindaTarget, params: PQParams) -> complex:
 
 def fs_bound_starlike(mu: complex, phi: MaMindaTarget, params: PQParams) -> BoundReport:
     """Sharp bound on |a3 - mu a2^2| over the deformed starlike class."""
-    return max_form_report(Kernel.of("starlike", params), mu, phi, params)
+    return max_form_report(Kernel.of("starlike", params), mu, phi)
 
 
 def fs_bound_convex(mu: complex, phi: MaMindaTarget, params: PQParams) -> BoundReport:
     """Sharp bound on |a3 - mu a2^2| over the deformed convex class."""
-    return max_form_report(Kernel.of("convex", params), mu, phi, params)
+    return max_form_report(Kernel.of("convex", params), mu, phi)
 
 
 def sigma_thresholds(phi: MaMindaTarget, params: PQParams) -> tuple[float, float, float]:
@@ -125,7 +120,7 @@ def _require_real(mu: complex) -> float:
     raise DomainError(f"piecewise bounds order real mu only, got mu={mu!r}")
 
 
-def piecewise_report(k: Kernel, mu: float, phi: MaMindaTarget, params: PQParams) -> BoundReport:
+def piecewise_report(k: Kernel, mu: float, phi: MaMindaTarget) -> BoundReport:
     """Three-branch bound of a kernel for real mu (``Kernel.select``),
     with arg = 1 - 2 v(mu).  Expanding arg recovers the familiar branch
     values b2/A + (b1^2/B)(1/A - mu B/E^2) and its negative; routing both
@@ -135,28 +130,15 @@ def piecewise_report(k: Kernel, mu: float, phi: MaMindaTarget, params: PQParams)
     mu = _require_real(mu)
     t = k.thresholds(phi)
     branch, value = k.select(mu, k.arg(mu, phi).real, phi, t)
-    return BoundReport(
-        value=value, branch=_PIECEWISE_BRANCHES[k.kind][branch], mu=mu, p=params.p, q=params.q, thresholds=t
-    )
+    return BoundReport(value=value, branch=_PIECEWISE_BRANCHES[k.kind][branch], mu=mu, thresholds=t)
 
 
 def fs_piecewise_starlike(mu: float, phi: MaMindaTarget, params: PQParams) -> BoundReport:
-    return piecewise_report(Kernel.of("starlike", params), mu, phi, params)
+    return piecewise_report(Kernel.of("starlike", params), mu, phi)
 
 
 def fs_piecewise_convex(mu: float, phi: MaMindaTarget, params: PQParams) -> BoundReport:
-    return piecewise_report(Kernel.of("convex", params), mu, phi, params)
-
-
-def _window_kind(window: str, m: MemberJet) -> str:
-    """The class kind of a refined window name, which must be one of
-    ``REFINED_WINDOWS`` and match the kind of the member jet."""
-    if window not in REFINED_WINDOWS:
-        raise DomainError(f"unknown refined window {window!r}, expected one of {REFINED_WINDOWS}")
-    kind = window.rsplit("_", 1)[0]
-    if kind != m.kind:
-        raise DomainError(f"window {window!r} does not match a {m.kind} member jet")
-    return kind
+    return piecewise_report(Kernel.of("convex", params), mu, phi)
 
 
 def refined_lhs(
@@ -173,4 +155,4 @@ def refined_inequality_lhs(
     window: str, m: MemberJet, mu: float, phi: MaMindaTarget, params: PQParams
 ) -> tuple[float, float]:
     """Window-gated refined inequality for a constructed member jet."""
-    return refined_lhs(Kernel.of(_window_kind(window, m), params), window, m.a2, m.a3, mu, phi)
+    return refined_lhs(Kernel.of(m.kind, params), window, m.a2, m.a3, mu, phi)

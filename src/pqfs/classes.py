@@ -27,6 +27,9 @@ from .pq_core import DomainError, PQParams, TruncatedSeries, pq_derivative, pq_n
 
 ClassKind = Literal["starlike", "convex"]
 
+#: Names of the refined threshold windows, "<kind>_<side>".
+REFINED_WINDOWS = ("starlike_low", "starlike_high", "convex_low", "convex_high")
+
 #: Slack admitted when testing membership in the closed feasibility bodies,
 #: so that boundary points survive roundtrips through floating point.
 FEASIBILITY_TOL = 1e-12
@@ -86,11 +89,12 @@ class SchwarzJet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "w1", complex(self.w1))
         object.__setattr__(self, "w2", complex(self.w2))
+        # written "not x <= cap" so that a NaN coefficient is refused too
         r1 = abs(self.w1)
-        if r1 > 1.0 + FEASIBILITY_TOL:
+        if not r1 <= 1.0 + FEASIBILITY_TOL:
             raise DomainError(f"Schwarz jet needs |w1| <= 1, got |w1|={r1:.6g}")
         cap = 1.0 - r1 * r1
-        if abs(self.w2) > cap + FEASIBILITY_TOL:
+        if not abs(self.w2) <= cap + FEASIBILITY_TOL:
             raise DomainError(
                 f"Schwarz jet needs |w2| <= 1 - |w1|^2, got |w2|={abs(self.w2):.6g} > {cap:.6g}"
             )
@@ -113,10 +117,10 @@ class CaratheodoryJet:
     def __post_init__(self) -> None:
         object.__setattr__(self, "c1", complex(self.c1))
         object.__setattr__(self, "c2", complex(self.c2))
-        if abs(self.c1) > 2.0 + 2 * FEASIBILITY_TOL:
+        if not abs(self.c1) <= 2.0 + 2 * FEASIBILITY_TOL:
             raise DomainError(f"Caratheodory jet needs |c1| <= 2, got |c1|={abs(self.c1):.6g}")
         slack = 2.0 - abs(self.c1) ** 2 / 2.0
-        if abs(self.c2 - self.c1**2 / 2.0) > slack + 2 * FEASIBILITY_TOL:
+        if not abs(self.c2 - self.c1**2 / 2.0) <= slack + 2 * FEASIBILITY_TOL:
             raise DomainError(
                 "Caratheodory jet needs |c2 - c1^2/2| <= 2 - |c1|^2/2, got "
                 f"{abs(self.c2 - self.c1 ** 2 / 2.0):.6g} > {slack:.6g}"
@@ -270,21 +274,18 @@ class Kernel(NamedTuple):
             den = three * (three - 1.0) * b1 * b1
             head = two * two * (two - 1.0) * b1 * b1
             fac = (two * two - 1.0) ** 2
-            out = (
-                (head + fac * (b2 - b1)) / den,
-                (head + fac * (b2 + b1)) / den,
-                (head + fac * b2) / den,
-            )
+            nums = head + fac * (b2 - b1), head + fac * (b2 + b1), head + fac * b2
         else:
-            B, K = self.B, self.K
-
-            def crossing(t: float) -> float:
-                return (b1 * b1 + B * (b2 + (2.0 * t - 1.0) * b1)) / (K * b1 * b1)
-
-            out = crossing(0.0), crossing(1.0), crossing(0.5)
-        # b1 * b1 overflows for huge targets, and NaN thresholds send every mu to
-        # the last branch.  t - t is 0 exactly for finite t (inf and NaN give NaN);
-        # unlike math.isfinite it also accepts a kernel evaluated on sympy symbols.
+            # v(mu) crosses t at (b1^2 + B (b2 + (2t - 1) b1)) / (K b1^2), t = 0, 1, 1/2
+            den = self.K * b1 * b1
+            nums = (b1 * b1 + self.B * (b2 + (2.0 * t - 1.0) * b1) for t in (0.0, 1.0, 0.5))
+        # b1 * b1 underflows to 0 for tiny targets and overflows for huge ones, and
+        # NaN thresholds send every mu to the last branch.  On sympy symbols
+        # den == 0.0 is False, and t - t is 0 exactly for finite t (inf and NaN
+        # give NaN): unlike math.isfinite it also accepts a symbolic kernel.
+        if den == 0.0:
+            raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: b1^2 underflows to 0")
+        out = tuple(n / den for n in nums)
         if not all(t - t == 0 for t in out):
             raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: got {out!r}")
         return out
@@ -314,8 +315,14 @@ class Kernel(NamedTuple):
         t3 <= mu < t2 ("high") it gains (t2 - mu)|a2|^2.  A named window
         (such as "starlike_low") must contain mu; without one, the window
         containing mu is used.  Outside the window the inequality is not
-        asserted and a domain error identifies the admissible range.
+        asserted and a domain error identifies the admissible range.  A
+        window must be one of ``REFINED_WINDOWS`` and name the kernel's kind.
         """
+        if window is not None:
+            if window not in REFINED_WINDOWS:
+                raise DomainError(f"unknown refined window {window!r}, expected one of {REFINED_WINDOWS}")
+            if window not in (f"{self.kind}_low", f"{self.kind}_high"):
+                raise DomainError(f"window {window!r} does not match a {self.kind} member jet")
         t1, t2, t3 = self.thresholds(phi)
         low, high = t1 < mu <= t3, t3 <= mu < t2
         side = window.rsplit("_", 1)[1] if window else ("low" if low else "high")

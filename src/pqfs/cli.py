@@ -129,29 +129,35 @@ def _output(args: argparse.Namespace) -> Iterator[TextIO]:
 
 
 def _write_entries(entries: list[SweepEntry], args: argparse.Namespace) -> None:
-    if args.format == "csv":
-        with _output(args) as stream:
+    with _output(args) as stream:
+        if args.format == "csv":
             emit_csv(entries, stream)
-        return
-    for e in sorted(entries, key=lambda e: e.mu):
-        if e.record is None:
-            print(f"mu={_FMT(e.mu)}  {e.status}: {e.error}")
-        else:
-            r = e.record
-            print(
-                f"mu={_FMT(e.mu)}  theoretical={_FMT(r.theoretical)}  "
-                f"empirical={_FMT(r.empirical_max)}  gap={_FMT(r.gap)}  "
-                f"branch={r.branch}  {e.status}"
-            )
+            return
+        for e in sorted(entries, key=lambda e: e.mu):
+            if e.record is None:
+                print(f"mu={_FMT(e.mu)}  {e.status}: {e.error}", file=stream)
+            else:
+                r = e.record
+                print(
+                    f"mu={_FMT(e.mu)}  theoretical={_FMT(r.theoretical)}  "
+                    f"empirical={_FMT(r.empirical_max)}  gap={_FMT(r.gap)}  "
+                    f"branch={r.branch}  {e.status}",
+                    file=stream,
+                )
 
 
-def _print_record(r: VerificationRecord) -> None:
-    print(f"theoretical: {_FMT(r.theoretical)}")
-    print(f"empirical:   {_FMT(r.empirical_max)}")
-    print(f"gap:         {_FMT(r.gap)}")
-    print(f"attained:    {'yes' if r.attained else 'no'}")
-    print(f"witness:     w1={r.witness.w1:.6g}, w2={r.witness.w2:.6g}")
-    print(f"status:      {r.status}")
+def _print_record(r: VerificationRecord, args: argparse.Namespace) -> None:
+    with _output(args) as stream:
+        print(
+            f"theoretical: {_FMT(r.theoretical)}",
+            f"empirical:   {_FMT(r.empirical_max)}",
+            f"gap:         {_FMT(r.gap)}",
+            f"attained:    {'yes' if r.attained else 'no'}",
+            f"witness:     w1={r.witness.w1:.6g}, w2={r.witness.w2:.6g}",
+            f"status:      {r.status}",
+            sep="\n",
+            file=stream,
+        )
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
@@ -159,7 +165,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     params = _parse_params(args.p, args.q)
     mu = _parse_mu(args.mu)
     form = bounds.max_form_report if args.form == "max" else bounds.piecewise_report
-    report = form(_kernel(args, params), mu, phi, params)
+    report = form(_kernel(args, params), mu, phi)
     print(f"value:  {_FMT(report.value)}")
     print(f"branch: {report.branch}")
     if report.thresholds is not None:
@@ -191,11 +197,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.refined:
         record = oracle.refined_check(k, mu, phi, cfg)
     else:
-        record = oracle.max_form_check(k, mu, phi, params, cfg)
+        record = oracle.max_form_check(k, mu, phi, cfg)
     if args.format == "csv":
         _write_entries([SweepEntry(mu=mu, record=record)], args)
     else:
-        _print_record(record)
+        _print_record(record, args)
     return 0 if record.passed else 1
 
 
@@ -247,8 +253,8 @@ def _limit_checks() -> list[tuple[str, float, float, float]]:
     for kind in ("starlike", "convex"):
         k = Kernel.of(kind, qcase)
         for mu in np.arange(-2.0, 3.0001, 0.05):
-            max_form = bounds.max_form_report(k, mu, koebe, qcase)
-            worst = max(worst, abs(max_form.value - bounds.piecewise_report(k, mu, koebe, qcase).value))
+            max_form = bounds.max_form_report(k, mu, koebe)
+            worst = max(worst, abs(max_form.value - bounds.piecewise_report(k, mu, koebe).value))
     add("q-regime branch agreement (worst dev)", worst, 0.0)
 
     # oracle attainment at the classical limit
@@ -324,10 +330,12 @@ def _add_class(sub: argparse.ArgumentParser, mu: bool, c: bool) -> None:
 
 
 def _add_oracle(sub: argparse.ArgumentParser, seed: int) -> None:
-    sub.add_argument("--grid", type=int, default=24, help="oracle grid density per dimension")
-    sub.add_argument("--samples", type=int, default=10_000, help="oracle random samples")
+    sub.add_argument(
+        "--grid", type=int, default=OracleConfig.grid_density, help="oracle grid density per dimension"
+    )
+    sub.add_argument("--samples", type=int, default=OracleConfig.random_samples, help="oracle random samples")
     sub.add_argument("--no-extremals", action="store_true", help="do not force extremal jets")
-    sub.add_argument("--tol", type=float, default=1e-9, help="oracle tolerance")
+    sub.add_argument("--tol", type=float, default=OracleConfig.tolerance, help="oracle tolerance")
     sub.add_argument("--seed", type=int, default=seed)
     sub.add_argument("--format", choices=("table", "csv"), default="table")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -320,6 +320,7 @@ def brute_force_caratheodory_piecewise(
     (1 - v)|c1|^2 for 1/2 <= v < 1, and the cap is the constant 2; values
     of v outside (0, 1) have no refined form and are rejected.
     """
+    v = _require_real(v)
     if not refined:
         bound = caratheodory_piecewise_bound(v)
         (best,) = _argmax(_caratheodory_blocks(cfg), [lambda c1, c2: np.abs(c2 - v * c1 * c1)])
@@ -327,16 +328,14 @@ def brute_force_caratheodory_piecewise(
     if not 0.0 < v < 1.0:
         raise DomainError(f"refined forms need 0 < v < 1, got v={v:g}")
     weight = v if v <= 0.5 else 1.0 - v
-
-    def values(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        return np.abs(c2 - v * c1 * c1) + weight * np.abs(c1) ** 2
-
-    (best,) = _argmax(_caratheodory_blocks(cfg), [values])
+    (best,) = _argmax(
+        _caratheodory_blocks(cfg), [lambda c1, c2: Kernel.refined_functional(c1, c2, v, weight)]
+    )
     return _record(v, 2.0, best, "refined_low" if v <= 0.5 else "refined_high", cfg)
 
 
 def _fs_outcomes(
-    k: Kernel, mus: Sequence[complex], phi: MaMindaTarget, params: PQParams, cfg: OracleConfig
+    k: Kernel, mus: Sequence[complex], phi: MaMindaTarget, cfg: OracleConfig
 ) -> list[VerificationRecord | DomainError]:
     """One record per mu, or the DomainError of its bound, from a single
     pass over the member blocks of the kernel k.
@@ -348,7 +347,7 @@ def _fs_outcomes(
     reports: list[BoundReport | DomainError] = []
     for mu in mus:
         try:
-            reports.append(max_form_report(k, mu, phi, params))
+            reports.append(max_form_report(k, mu, phi))
         except DomainError as exc:
             reports.append(exc)
     live = [mu for mu, r in zip(mus, reports) if isinstance(r, BoundReport)]
@@ -380,15 +379,13 @@ def verify_fs(
 ) -> VerificationRecord:
     """Maximize |a3 - mu a2^2| over member jets built from the sampled body
     and compare with the max-form bound."""
-    return max_form_check(Kernel.of(kind, params), mu, phi, params, cfg)
+    return max_form_check(Kernel.of(kind, params), mu, phi, cfg)
 
 
-def max_form_check(
-    k: Kernel, mu: complex, phi: MaMindaTarget, params: PQParams, cfg: OracleConfig
-) -> VerificationRecord:
+def max_form_check(k: Kernel, mu: complex, phi: MaMindaTarget, cfg: OracleConfig) -> VerificationRecord:
     """``verify_fs`` over the member jets of the kernel k, such as the
     Bernardi image kernel."""
-    (out,) = _fs_outcomes(k, [mu], phi, params, cfg)
+    (out,) = _fs_outcomes(k, [mu], phi, cfg)
     if isinstance(out, DomainError):
         raise out
     return out
@@ -449,7 +446,7 @@ def sweep(
         )
     mus = [lo + k * step for k in range(count)]
     try:
-        outcomes = _fs_outcomes(Kernel.of(kind, params), mus, phi, params, cfg)
+        outcomes = _fs_outcomes(Kernel.of(kind, params), mus, phi, cfg)
     except DomainError as exc:
         return [SweepEntry(mu=mu, record=None, error=str(exc)) for mu in mus]
     return [

@@ -136,7 +136,7 @@ class TestOperatorBounds:
 
         two, three = deformation_numbers(PQ)
         plain = fs_bound_starlike(0.7, KOEBE, PQ)
-        reduced = max_form_report(Kernel.from_numbers("starlike", two * 1.0, three * 1.0), 0.7, KOEBE, PQ)
+        reduced = max_form_report(Kernel.from_numbers("starlike", two * 1.0, three * 1.0), 0.7, KOEBE)
         assert reduced.value == plain.value
 
     def test_application_bound_classical_c1(self):

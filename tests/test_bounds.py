@@ -167,6 +167,12 @@ class TestThresholds:
         with pytest.raises(DomainError, match=r"not finite for b1=1e\+308, b2=1e\+308"):
             Kernel.of(kind, PQ).thresholds(MaMindaTarget((1e308, 1e308)), printed)
 
+    @pytest.mark.parametrize("kind, printed", [("starlike", False), ("convex", False), ("convex", True)])
+    def test_underflowing_b1_rejected(self, kind, printed):
+        # b1 * b1 underflows to 0, which used to divide by zero
+        with pytest.raises(DomainError, match=r"thresholds are not finite for b1=1e-200, b2=0"):
+            Kernel.of(kind, PQ).thresholds(MaMindaTarget((1e-200, 0.0)), printed)
+
     def test_piecewise_branch_needs_finite_thresholds(self):
         with pytest.raises(DomainError, match="not finite"):
             fs_piecewise_starlike(0.8, MaMindaTarget((2e154, 0.0)), PQ)
@@ -200,6 +206,11 @@ class TestPiecewiseBounds:
     def test_complex_mu_rejected(self):
         with pytest.raises(DomainError):
             fs_piecewise_starlike(1 + 1j, KOEBE, CLASSIC)
+
+    def test_complex_mu_with_zero_imaginary_part_is_real(self):
+        report = fs_piecewise_starlike(0.5 + 0j, KOEBE, PQ)
+        assert report == fs_piecewise_starlike(0.5, KOEBE, PQ)
+        assert type(report.mu) is float
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
     def test_non_finite_mu_rejected(self, mu):

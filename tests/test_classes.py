@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,10 @@ class TestTarget:
     def test_b2_defaults_to_zero(self):
         assert MaMindaTarget((1.5,)).b2 == 0.0
 
+    def test_empty_target_rejected(self):
+        with pytest.raises(DomainError, match="at least the coefficient b1"):
+            MaMindaTarget(())
+
     def test_b1_zero_rejected(self):
         with pytest.raises(DomainError):
             MaMindaTarget((0.0, 1.0))
@@ -53,12 +59,12 @@ class TestJets:
         assert c.c1 == pytest.approx(c1)
         assert c.c2 == pytest.approx(c2)
 
-    @pytest.mark.parametrize("w1, w2", [(1.5, 0), (0.8, 0.5), (1, 0.1)])
+    @pytest.mark.parametrize("w1, w2", [(1.5, 0), (0.8, 0.5), (1, 0.1), (math.nan, 0), (0, math.nan)])
     def test_infeasible_schwarz_rejected(self, w1, w2):
         with pytest.raises(DomainError):
             SchwarzJet(w1, w2)
 
-    @pytest.mark.parametrize("c1, c2", [(3, 0), (2, -2), (0, 2.5)])
+    @pytest.mark.parametrize("c1, c2", [(3, 0), (2, -2), (0, 2.5), (math.nan, 0), (0, math.nan)])
     def test_caratheodory_body_enforced(self, c1, c2):
         with pytest.raises(DomainError):
             CaratheodoryJet(c1, c2)

@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from pqfs.bernardi import MAX_BERNARDI_ORDER
-from pqfs.cli import MAX_REGION_GRID, main
-from pqfs.oracle import MAX_GRID_DENSITY, MAX_RANDOM_SAMPLES
+from pqfs.cli import MAX_REGION_GRID, _oracle_config, build_parser, emit_csv, main
+from pqfs.oracle import MAX_GRID_DENSITY, MAX_RANDOM_SAMPLES, OracleConfig
+from pqfs.pq_core import DomainError
 
 FAST = ["--grid", "12", "--samples", "2000"]
 
@@ -499,6 +500,52 @@ def test_options_a_command_does_not_read_exit_2(argv, tmp_path, monkeypatch, cap
     code, out, _ = run([*argv, "--p", "1", "--q", "1"], capsys)
     assert code == 2 and out == ""
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds"],
+        ["thresholds", "--class", "convex", "--printed-thresholds"],
+        ["thresholds", "--c", "2"],
+        ["bound", "--form", "piecewise", "--mu", "0.5"],
+        ["verify", "--refined", "--mu", "0.5", *FAST],
+    ],
+)
+def test_underflowing_b1_exit_2(argv, capsys):
+    # b1 * b1 underflows to 0; the thresholds used to divide by it and exit 1
+    code, out, err = run([*argv, "--phi", "1e-200,0", "--p", "0.9", "--q", "0.6"], capsys)
+    assert code == 2 and out == ""
+    assert "thresholds are not finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--mu", "0.5", *FAST],
+        ["sweep", "--mu-range", "0:1:0.5", *FAST],
+        ["sweep", "--mu-range", "0:1:0.5", "--format", "csv", *FAST],
+    ],
+)
+def test_out_receives_table_and_csv_output(argv, tmp_path, capsys):
+    argv = [*argv, "--p", "0.9", "--q", "0.6"]
+    code, expected, _ = run(argv, capsys)
+    assert code == 0 and expected
+    path = tmp_path / "out.txt"
+    code, out, _ = run([*argv, "--out", str(path)], capsys)
+    assert code == 0 and out == ""
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("command", [["verify"], ["sweep", "--mu-range", "0:1:0.5"]])
+def test_oracle_defaults_are_those_of_oracle_config(command):
+    args = build_parser().parse_args([*command, "--p", "1", "--q", "1", "--seed", "5"])
+    assert _oracle_config(args) == OracleConfig(seed=5)
+
+
+def test_emit_csv_refuses_no_entries():
+    with pytest.raises(DomainError, match="no records to emit"):
+        emit_csv([], sys.stdout)
 
 
 def test_module_entry_point_runs():

@@ -116,6 +116,14 @@ class TestCaratheodoryOracles:
         with pytest.raises(DomainError, match="must be finite"):
             fn(x, CFG)
 
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_complex_v(self, refined):
+        # a complex v used to reach "0.0 < v" or caratheodory_piecewise_bound and raise TypeError
+        with pytest.raises(DomainError, match="real mu only"):
+            brute_force_caratheodory_piecewise(0.5 + 1j, CFG, refined)
+        record = brute_force_caratheodory_piecewise(0.5 + 0j, CFG, refined)
+        assert record == brute_force_caratheodory_piecewise(0.5, CFG, refined)
+
 
 class TestVerificationRecord:
     def test_fail_status_when_bound_exceeded(self):

@@ -147,6 +147,26 @@ class TestSeriesArithmetic:
         assert (f + 1).coeffs == (2, 2)
         assert (1 - f).coeffs == (0, -2)
 
+    def test_indexing_subtraction_and_reciprocal(self):
+        f = TruncatedSeries([2, 4, 6])
+        assert f[2] == 6
+        assert (f - 1).coeffs == (1, 4, 6)
+        assert (1 / f).coeffs == (0.5, -1, 0.5)
+        assert (f * (1 / f)).coeffs == (1, 0, 0)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TruncatedSeries([]), "at least its constant coefficient"),
+            (lambda: TruncatedSeries([1], order=-1), "order must be >= 0"),
+            (lambda: TruncatedSeries.monomial(-1), "degree must be >= 0"),
+        ],
+        ids=["empty", "negative-order", "negative-degree"],
+    )
+    def test_malformed_series_rejected(self, build, message):
+        with pytest.raises(DomainError, match=message):
+            build()
+
     def test_divide_by_zero_constant_rejected(self):
         with pytest.raises(DomainError):
             TruncatedSeries([1, 1]) / TruncatedSeries([0, 1])
