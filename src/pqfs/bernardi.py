@@ -138,14 +138,8 @@ def _effective(bp: BernardiParams, two: float, three: float) -> tuple[float, flo
 
 def bernardi_member(m: MemberJet, bp: BernardiParams) -> MemberJet:
     """Jet of the transformed function: (a2, a3) -> (L2 a2, L3 a3)."""
-    return MemberJet(
-        a2=bernardi_factor(2, bp) * m.a2,
-        a3=bernardi_factor(3, bp) * m.a3,
-        kind=m.kind,
-        source=m.source,
-        phi=m.phi,
-        params=m.params,
-    )
+    L2, L3 = _multipliers(bp)
+    return MemberJet(L2 * m.a2, L3 * m.a3, m.kind)
 
 
 def fs_bound_bernardi(

@@ -112,12 +112,12 @@ def rho_thresholds(
     return Kernel.of("convex", params).thresholds(phi, printed_form)
 
 
-def _require_real(mu: complex) -> float:
-    if isinstance(mu, numbers.Real):
-        return float(mu)
-    if isinstance(mu, complex) and mu.imag == 0.0:
-        return mu.real
-    raise DomainError(f"piecewise bounds order real mu only, got mu={mu!r}")
+def _require_real(x: complex, name: str = "mu") -> float:
+    if isinstance(x, numbers.Real):
+        return float(x)
+    if isinstance(x, complex) and x.imag == 0.0:
+        return x.real
+    raise DomainError(f"piecewise bounds order real {name} only, got {name}={x!r}")
 
 
 def piecewise_report(k: Kernel, mu: float, phi: MaMindaTarget) -> BoundReport:

@@ -142,14 +142,11 @@ def caratheodory_from_schwarz(j: SchwarzJet) -> CaratheodoryJet:
 
 @dataclass(frozen=True)
 class MemberJet:
-    """The pair (a2, a3) of a class member, with its construction data."""
+    """The pair (a2, a3) of a member of the class ``kind``."""
 
     a2: complex
     a3: complex
     kind: ClassKind
-    source: CaratheodoryJet
-    phi: MaMindaTarget
-    params: PQParams
 
 
 def deformation_numbers(params: PQParams) -> tuple[float, float]:
@@ -187,8 +184,8 @@ class Kernel(NamedTuple):
     """
 
     kind: ClassKind
-    two: float
-    three: float
+    two: float | None
+    three: float | None
     A: float
     B: float
     E: float
@@ -215,10 +212,15 @@ class Kernel(NamedTuple):
 
     def scaled(self, L2: float, L3: float) -> "Kernel":
         """The kernel of the mapped jets (L2 a2, L3 a3): E/L2 and A/L3, B
-        unchanged, so K becomes K L2^2 / L3; ``two`` and ``three`` stay."""
+        unchanged, so K becomes K L2^2 / L3.  Unless both multipliers are 1,
+        which maps every jet to itself, ``two`` and ``three`` become None: the
+        mapped jets have no deformed integers of their own, so the printed
+        thresholds refuse a scaled kernel."""
         if not (0.0 < L2 < math.inf and 0.0 < L3 < math.inf):
             raise DomainError(f"kernel multipliers must be finite and > 0, got L2={L2!r}, L3={L3!r}")
-        return tuple.__new__(Kernel, (self.kind, self.two, self.three, self.A / L3, self.B, self.E / L2))
+        if L2 == L3 == 1.0:
+            return self
+        return tuple.__new__(Kernel, (self.kind, None, None, self.A / L3, self.B, self.E / L2))
 
     def member(self, c1, c2, phi: MaMindaTarget):
         """(a2, a3) of the member with Caratheodory data (c1, c2):
@@ -261,13 +263,19 @@ class Kernel(NamedTuple):
         normalization that circulates in print, whose (b2 -+ b1) terms carry
         ([2]^2 - 1)^2 instead of [2]^2 ([2]-1)^2.  It is kept for comparison
         output; it does not agree with the max-form bound and is never used
-        by the piecewise branch logic.
+        by the piecewise branch logic.  A scaled kernel of either kind has no
+        deformed integers, and its ``printed_form`` is refused.
         """
         b1, b2 = phi.b1, phi.b2
         # the piecewise and refined results order real mu, which needs b1 > 0, b2 >= 0
         if not (b1 > 0.0 and b2 >= 0.0):
             raise DomainError(
                 f"piecewise thresholds need b1 > 0 and b2 >= 0, got b1={b1:g}, b2={b2:g}"
+            )
+        if printed_form and self.two is None:
+            raise DomainError(
+                "printed thresholds need the deformed integers, which a scaled kernel does not "
+                "keep; for the Bernardi image use image_kernel(..., printed_form=True)"
             )
         if printed_form and self.kind == "convex":
             two, three = self.two, self.three
@@ -346,7 +354,7 @@ class Kernel(NamedTuple):
 
 def _member(kind: ClassKind, c: CaratheodoryJet, phi: MaMindaTarget, params: PQParams) -> MemberJet:
     a2, a3 = Kernel.of(kind, params).member(c.c1, c.c2, phi)
-    return MemberJet(a2=a2, a3=a3, kind=kind, source=c, phi=phi, params=params)
+    return MemberJet(a2, a3, kind)
 
 
 def starlike_member(c: CaratheodoryJet, phi: MaMindaTarget, params: PQParams) -> MemberJet:

@@ -43,13 +43,6 @@ def _parse_phi(spec: str) -> MaMindaTarget:
     return MaMindaTarget(coeffs)
 
 
-def _parse_params(p: float, q: float) -> PQParams:
-    # p == q (notably p = q = 1) is routed through the limit constructor
-    if p == q:
-        return PQParams.limit(p, q)
-    return PQParams(p, q)
-
-
 def _parse_mu(text: str) -> complex:
     try:
         mu = complex(text.replace(" ", ""))
@@ -162,7 +155,7 @@ def _print_record(r: VerificationRecord, args: argparse.Namespace) -> None:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
-    params = _parse_params(args.p, args.q)
+    params = PQParams.limit(args.p, args.q)
     mu = _parse_mu(args.mu)
     form = bounds.max_form_report if args.form == "max" else bounds.piecewise_report
     report = form(_kernel(args, params), mu, phi)
@@ -176,7 +169,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
-    params = _parse_params(args.p, args.q)
+    params = PQParams.limit(args.p, args.q)
     t = _kernel(args, params, args.printed_thresholds).thresholds(phi, args.printed_thresholds)
     names = ("sigma1", "sigma2", "sigma3") if args.class_kind == "starlike" else ("rho1", "rho2", "rho3")
     if args.printed_thresholds:
@@ -188,7 +181,7 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
-    params = _parse_params(args.p, args.q)
+    params = PQParams.limit(args.p, args.q)
     mu = _parse_mu(args.mu)
     if args.format == "csv" and isinstance(mu, complex):
         raise DomainError("csv output supports real mu only")
@@ -207,7 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
-    params = _parse_params(args.p, args.q)
+    params = PQParams.limit(args.p, args.q)
     mu_range = _parse_mu_range(args.mu_range)
     cfg = _oracle_config(args)
     entries = oracle.sweep(args.class_kind, mu_range, phi, params, cfg)
@@ -293,7 +286,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
         raise DomainError(f"f coefficients must be finite, got {args.f!r}")
     if not 16 <= args.grid <= MAX_REGION_GRID:
         raise DomainError(f"region grid must be in [16, {MAX_REGION_GRID}], got {args.grid}")
-    params = _parse_params(args.p, args.q)
+    params = PQParams.limit(args.p, args.q)
     # z D f = sum [n] a_n z^n; pq_number is continuous through p = q
     weighted = coeffs * [pq_number(n, params) for n in range(coeffs.size)]
 

@@ -102,17 +102,24 @@ class VerificationRecord:
     ``gap`` is theoretical - empirical_max: a positive gap means the
     sample set did not attain the bound, a negative gap beyond the
     tolerance means the bound was violated (an implementation bug);
-    ``attained`` means |gap| <= tolerance.
+    ``attained`` means |gap| <= tolerance.  Both are derived from the
+    numbers, so a violated bound never reads as attained.
     """
 
     mu: complex
     theoretical: float
     empirical_max: float
-    gap: float
-    attained: bool
     witness: SchwarzJet
     branch: str
     tolerance: float
+
+    @property
+    def gap(self) -> float:
+        return self.theoretical - self.empirical_max
+
+    @property
+    def attained(self) -> bool:
+        return abs(self.gap) <= self.tolerance
 
     @property
     def passed(self) -> bool:
@@ -257,6 +264,21 @@ def _member_blocks(k: Kernel, phi: MaMindaTarget, cfg: OracleConfig) -> Blocks:
 Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _fs_functional(mu: complex) -> Functional:
+    """|y - mu x^2| of a block: |a3 - mu a2^2| over member jets, or
+    |c2 - v c1^2| over the body.  One temporary per block; its in-place
+    steps are the ufuncs of ``abs(y - mu * x * x)`` in the same order, so
+    the values match that expression bit for bit."""
+
+    def values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        t = np.multiply(mu, x)
+        np.multiply(t, x, out=t)
+        np.subtract(y, t, out=t)
+        return np.abs(t)
+
+    return values
+
+
 def _argmax(blocks: Blocks, functionals: Sequence[Functional]) -> list[tuple[float, int]]:
     """(max, first index) of each functional over all blocks, in one pass.
 
@@ -290,25 +312,29 @@ def _record(
         w1, w2 = grid.jets(i)
     else:
         w1, w2 = (w[i - grid.c1.size] for w in _tail(cfg))
-    gap = theoretical - empirical
     return VerificationRecord(
         mu=mu,
         theoretical=theoretical,
         empirical_max=empirical,
-        gap=gap,
-        attained=abs(gap) <= cfg.tolerance,
         witness=SchwarzJet(complex(w1), complex(w2)),
         branch=branch,
         tolerance=cfg.tolerance,
     )
 
 
+def _check(
+    blocks: Blocks, mu: complex, theoretical: float, branch: str, functional: Functional, cfg: OracleConfig
+) -> VerificationRecord:
+    """The record of one functional maximized over the blocks."""
+    (best,) = _argmax(blocks, [functional])
+    return _record(mu, theoretical, best, branch, cfg)
+
+
 def brute_force_caratheodory_max(mu: complex, cfg: OracleConfig) -> VerificationRecord:
     """Maximize |c2 - mu c1^2| over the sampled body against the sharp
     value 2 max(1, |2 mu - 1|); mu may be complex, but must be finite."""
     bound = ma_minda_bound(mu)
-    (best,) = _argmax(_caratheodory_blocks(cfg), [lambda c1, c2: np.abs(c2 - mu * c1 * c1)])
-    return _record(mu, bound, best, BRANCH_MAX_FORM, cfg)
+    return _check(_caratheodory_blocks(cfg), mu, bound, BRANCH_MAX_FORM, _fs_functional(mu), cfg)
 
 
 def brute_force_caratheodory_piecewise(
@@ -320,58 +346,18 @@ def brute_force_caratheodory_piecewise(
     (1 - v)|c1|^2 for 1/2 <= v < 1, and the cap is the constant 2; values
     of v outside (0, 1) have no refined form and are rejected.
     """
-    v = _require_real(v)
+    v = _require_real(v, "v")
     if not refined:
         bound = caratheodory_piecewise_bound(v)
-        (best,) = _argmax(_caratheodory_blocks(cfg), [lambda c1, c2: np.abs(c2 - v * c1 * c1)])
-        return _record(v, bound, best, "piecewise", cfg)
+        return _check(_caratheodory_blocks(cfg), v, bound, "piecewise", _fs_functional(v), cfg)
     if not 0.0 < v < 1.0:
         raise DomainError(f"refined forms need 0 < v < 1, got v={v:g}")
-    weight = v if v <= 0.5 else 1.0 - v
-    (best,) = _argmax(
-        _caratheodory_blocks(cfg), [lambda c1, c2: Kernel.refined_functional(c1, c2, v, weight)]
-    )
-    return _record(v, 2.0, best, "refined_low" if v <= 0.5 else "refined_high", cfg)
+    weight, branch = (v, "refined_low") if v <= 0.5 else (1.0 - v, "refined_high")
 
+    def values(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        return Kernel.refined_functional(c1, c2, v, weight)
 
-def _fs_outcomes(
-    k: Kernel, mus: Sequence[complex], phi: MaMindaTarget, cfg: OracleConfig
-) -> list[VerificationRecord | DomainError]:
-    """One record per mu, or the DomainError of its bound, from a single
-    pass over the member blocks of the kernel k.
-
-    Each block evaluates |a3 - mu a2^2| for every mu through two scratch
-    buffers; the buffered steps are the ufuncs of ``abs(a3 - mu * a2 * a2)``
-    in the same order, so the values match that expression bit for bit.
-    """
-    reports: list[BoundReport | DomainError] = []
-    for mu in mus:
-        try:
-            reports.append(max_form_report(k, mu, phi))
-        except DomainError as exc:
-            reports.append(exc)
-    live = [mu for mu, r in zip(mus, reports) if isinstance(r, BoundReport)]
-    if not live:
-        return reports
-    # the largest block: blocks never straddle the grid and the tail
-    size = min(BLOCK, max(_grid(cfg.grid_density).c1.size, _tail(cfg)[0].size))
-    t, buf = np.empty(size, dtype=complex), np.empty(size)
-
-    def functional(mu: complex) -> Functional:
-        def values(a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
-            tt, vv = t[: a2.size], buf[: a2.size]
-            np.multiply(mu, a2, out=tt)
-            np.multiply(tt, a2, out=tt)
-            np.subtract(a3, tt, out=tt)
-            return np.abs(tt, out=vv)
-
-        return values
-
-    bests = iter(_argmax(_member_blocks(k, phi, cfg), [functional(mu) for mu in live]))
-    return [
-        r if isinstance(r, DomainError) else _record(mu, r.value, next(bests), r.branch, cfg)
-        for mu, r in zip(mus, reports)
-    ]
+    return _check(_caratheodory_blocks(cfg), v, 2.0, branch, values, cfg)
 
 
 def verify_fs(
@@ -385,10 +371,8 @@ def verify_fs(
 def max_form_check(k: Kernel, mu: complex, phi: MaMindaTarget, cfg: OracleConfig) -> VerificationRecord:
     """``verify_fs`` over the member jets of the kernel k, such as the
     Bernardi image kernel."""
-    (out,) = _fs_outcomes(k, [mu], phi, cfg)
-    if isinstance(out, DomainError):
-        raise out
-    return out
+    report = max_form_report(k, mu, phi)
+    return _check(_member_blocks(k, phi, cfg), mu, report.value, report.branch, _fs_functional(mu), cfg)
 
 
 def verify_refined(
@@ -408,8 +392,7 @@ def refined_check(k: Kernel, mu: float, phi: MaMindaTarget, cfg: OracleConfig) -
     def values(a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
         return k.refined_functional(a2, a3, mu, penalty)
 
-    (best,) = _argmax(_member_blocks(k, phi, cfg), [values])
-    return _record(mu, phi.b1 / k.A, best, f"refined_{side}", cfg)
+    return _check(_member_blocks(k, phi, cfg), mu, phi.b1 / k.A, f"refined_{side}", values, cfg)
 
 
 def sweep(
@@ -444,16 +427,24 @@ def sweep(
         raise DomainError(
             f"sweep range {lo:g}:{hi:g}:{step:g} has more than {MAX_SWEEP_POINTS} points"
         )
-    mus = [lo + k * step for k in range(count)]
+    mus = [lo + i * step for i in range(count)]
     try:
-        outcomes = _fs_outcomes(Kernel.of(kind, params), mus, phi, cfg)
+        k = Kernel.of(kind, params)
     except DomainError as exc:
         return [SweepEntry(mu=mu, record=None, error=str(exc)) for mu in mus]
+    reports: list[BoundReport | DomainError] = []
+    for mu in mus:
+        try:
+            reports.append(max_form_report(k, mu, phi))
+        except DomainError as exc:
+            reports.append(exc)
+    live = [mu for mu, r in zip(mus, reports) if isinstance(r, BoundReport)]
+    bests = iter(_argmax(_member_blocks(k, phi, cfg), [_fs_functional(mu) for mu in live]) if live else [])
     return [
-        SweepEntry(mu=mu, record=None, error=str(out))
-        if isinstance(out, DomainError)
-        else SweepEntry(mu=mu, record=out)
-        for mu, out in zip(mus, outcomes)
+        SweepEntry(mu=mu, record=_record(mu, r.value, next(bests), r.branch, cfg))
+        if isinstance(r, BoundReport)
+        else SweepEntry(mu=mu, record=None, error=str(r))
+        for mu, r in zip(mus, reports)
     ]
 
 

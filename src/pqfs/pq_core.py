@@ -62,7 +62,7 @@ class PQParams:
         """
         p, q = float(p), float(q)
         if not (0.0 < q <= p <= 1.0):
-            raise DomainError(f"limit params need 0 < q <= p <= 1, got (p, q)=({p:g}, {q:g})")
+            raise DomainError(f"need 0 < q <= p <= 1, got (p, q)=({p:g}, {q:g})")
         self = object.__new__(cls)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)

@@ -176,6 +176,21 @@ class TestOperatorBounds:
         assert report.value == pytest.approx(1.0, abs=1e-12)
         assert report.thresholds == pytest.approx((2 / 3, 8 / 9, 7 / 9), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "kind, paper",
+        [
+            ("starlike", (0.649230769230769, 0.9488757396449697, 0.7990532544378693)),
+            ("convex", (0.8105780609922616, 1.8717738007613762, 1.3411759308768187)),
+        ],
+    )
+    def test_image_kernel_has_no_printed_thresholds(self, kind, paper):
+        # the image kernel used to give a set that is not the paper's: the image's
+        # sharp set for starlike, the plain printed set (0.9266, 2.2136, 1.5701) for convex
+        bp = BernardiParams(2, PQ)
+        with pytest.raises(DomainError, match="image_kernel"):
+            image_kernel(kind, bp).thresholds(KOEBE, printed_form=True)
+        assert thresholds_bernardi(kind, KOEBE, bp, printed_form=True) == pytest.approx(paper, abs=1e-12)
+
     @pytest.mark.parametrize("kind", ["starlike", "convex"])
     def test_printed_piecewise_uses_the_printed_thresholds(self, kind):
         # the convex report used to carry the effective integers' plain thresholds

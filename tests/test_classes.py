@@ -165,7 +165,7 @@ class TestSubordinationResidual:
     def test_corrupted_a3_detected(self):
         j = SchwarzJet(1, 0)
         m = starlike_member(CaratheodoryJet.from_schwarz(j), KOEBE, PQ)
-        bad = MemberJet(m.a2, m.a3 + 0.1, m.kind, m.source, m.phi, m.params)
+        bad = MemberJet(m.a2, m.a3 + 0.1, m.kind)
         assert subordination_residual(bad, j, KOEBE, PQ) >= 0.05
 
     def test_extremal_jets_both_kinds(self):

@@ -60,6 +60,16 @@ class TestBoundCommand:
         assert code == 2
         assert "p + q > 1" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["bound"], ["thresholds"], ["verify", *FAST], ["sweep", "--mu-range", "0:1:0.5"], ["region", "--f", "0,1"]],
+    )
+    def test_pair_outside_the_domain_exit_2(self, capsys, command):
+        # a shell user is told the CLI's domain, not a library constructor to call
+        code, out, err = run([*command, "--p", "0.5", "--q", "0.9"], capsys)
+        assert code == 2 and out == ""
+        assert "need 0 < q <= p <= 1" in err and "PQParams" not in err
+
     @pytest.mark.parametrize("mu", ["nan", "inf", "1+nanj"])
     def test_non_finite_mu_exit_2(self, capsys, mu):
         # max(1, nan) used to let a NaN mu print 2.81690140845 and exit 0
@@ -167,13 +177,14 @@ class TestVerifyCommand:
         from pqfs.oracle import VerificationRecord
 
         bad = VerificationRecord(
-            mu=0.0, theoretical=1.0, empirical_max=2.0, gap=-1.0, attained=True,
+            mu=0.0, theoretical=1.0, empirical_max=2.0,
             witness=SchwarzJet(1, 0), branch="max_form", tolerance=1e-9,
         )
         monkeypatch.setattr("pqfs.cli.oracle.max_form_check", lambda *a, **k: bad)
         code, out, _ = run(["verify", "--class", "starlike", "--p", "1", "--q", "1", "--mu", "0"], capsys)
         assert code == 1
         assert "FAIL" in out
+        assert "attained:    no" in out
 
     def test_csv_complex_mu_refused_before_sampling(self, capsys, monkeypatch):
         import pqfs.oracle

@@ -119,7 +119,7 @@ class TestCaratheodoryOracles:
     @pytest.mark.parametrize("refined", [False, True])
     def test_complex_v(self, refined):
         # a complex v used to reach "0.0 < v" or caratheodory_piecewise_bound and raise TypeError
-        with pytest.raises(DomainError, match="real mu only"):
+        with pytest.raises(DomainError, match="real v only"):
             brute_force_caratheodory_piecewise(0.5 + 1j, CFG, refined)
         record = brute_force_caratheodory_piecewise(0.5 + 0j, CFG, refined)
         assert record == brute_force_caratheodory_piecewise(0.5, CFG, refined)
@@ -134,14 +134,14 @@ class TestVerificationRecord:
             mu=0.0,
             theoretical=1.0,
             empirical_max=1.0 + 1e-6,
-            gap=-1e-6,
-            attained=True,
             witness=SchwarzJet(1, 0),
             branch="max_form",
             tolerance=1e-9,
         )
         assert not record.passed
         assert record.status == "FAIL"
+        assert record.gap == 1.0 - (1.0 + 1e-6)
+        assert not record.attained
 
     def test_violated_bound_is_not_attained(self):
         # the empirical value sits 1e-6 above the theoretical one
