@@ -324,7 +324,10 @@ def _add_class(sub: argparse.ArgumentParser, mu: bool, c: bool) -> None:
 
 def _add_oracle(sub: argparse.ArgumentParser, seed: int) -> None:
     sub.add_argument(
-        "--grid", type=int, default=OracleConfig.grid_density, help="oracle grid density per dimension"
+        "--grid",
+        type=int,
+        default=OracleConfig.grid_density,
+        help="oracle rim grid density n: n radii |w1|, n - 1 angles for each of arg w1 and arg w2",
     )
     sub.add_argument("--samples", type=int, default=OracleConfig.random_samples, help="oracle random samples")
     sub.add_argument("--no-extremals", action="store_true", help="do not force extremal jets")

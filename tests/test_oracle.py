@@ -9,7 +9,7 @@ import pytest
 from pqfs import oracle
 from pqfs.bernardi import BernardiParams, bernardi_factor, verify_fs_bernardi
 from pqfs.bounds import fs_bound_starlike
-from pqfs.classes import Kernel, MaMindaTarget, SchwarzJet
+from pqfs.classes import Kernel, MaMindaTarget, SchwarzJet, schwarz_jets_from_rows
 from pqfs.oracle import (
     DEFAULT_SEED,
     MAX_GRID_DENSITY,
@@ -271,8 +271,9 @@ class TestSweep:
 
 
 class TestRefinementMonotonicity:
-    # nested budgets only: linspace(-1, 1, 2n-1) contains linspace(-1, 1, n),
-    # and the random rows are prefix-stable in the sample count
+    # nested budgets only: the grid at density 2n-1 contains the grid at n
+    # (test_grid_is_nested_in_the_grid_at_2n_minus_1), and the random rows
+    # are prefix-stable in the sample count
     def test_grid_refinement(self):
         empirical = []
         for g in (8, 15, 29):
@@ -288,41 +289,79 @@ class TestRefinementMonotonicity:
         assert empirical[0] <= empirical[1] <= empirical[2]
 
 
-def _meshgrid_jets(grid_density):
-    """The grid part of the sample set built as the four-way meshgrid it
-    is defined as, to check the disc x disc construction against."""
-    u = np.linspace(-1.0, 1.0, grid_density)
-    u1, u2, u3, u4 = (g.ravel() for g in np.meshgrid(u, u, u, u, indexing="ij"))
-    w1 = u1 + 1j * u2
-    inner = u3 + 1j * u4
-    keep = (np.abs(w1) <= 1.0) & (np.abs(inner) <= 1.0)
-    w1 = w1[keep]
-    return w1, inner[keep] * (1.0 - np.abs(w1) ** 2)
+def _rim_jets(grid_density):
+    """The grid part of the sample set built jet by jet in Python floats,
+    to check the array build against: radius |w1| = linspace(0, 1, n),
+    then arg w1, then arg w2, each angle 2 pi k / (n - 1), with one arg w1
+    at w1 = 0 and one arg w2 at w2 = 0, every jet scaled by 1 - 2**-40."""
+    n, inset = grid_density, 1.0 - 2.0**-40
+    unit = [(math.cos(t), math.sin(t)) for t in (2.0 * math.pi * k / (n - 1) for k in range(n - 1))]
+    w1, w2 = [], []
+    for i, r in enumerate(np.linspace(0.0, 1.0, n).tolist()):
+        m1, m2 = inset * r, inset * (1.0 - r * r)
+        for cos1, sin1 in unit if i > 0 else unit[:1]:
+            for cos2, sin2 in unit if i < n - 1 else unit[:1]:
+                w1.append(complex(m1 * cos1, m1 * sin1))
+                w2.append(complex(m2 * cos2, m2 * sin2))
+    return np.array(w1), np.array(w2)
 
 
 @pytest.mark.parametrize("grid_density", [8, 9, 12, 16, 24, 25])
-def test_grid_is_byte_equal_to_meshgrid_build(grid_density):
-    grid = oracle._grid.__wrapped__(grid_density)
-    w1, w2 = grid.jets(np.arange(grid.c1.size))
-    r1, r2 = _meshgrid_jets(grid_density)
-    assert w1.dtype == r1.dtype and w2.dtype == r2.dtype
-    assert w1.tobytes() == r1.tobytes()
-    assert w2.tobytes() == r2.tobytes()
-    assert grid.c1.dtype == grid.c2.dtype == r1.dtype
+def test_grid_is_byte_equal_to_loop_build(grid_density):
+    n = grid_density
+    grid = oracle._grid.__wrapped__(n)
+    r1, r2 = _rim_jets(n)
+    assert r1.size == (n - 2) * (n - 1) ** 2 + 2 * (n - 1)
+    assert grid.w1.dtype == grid.w2.dtype == grid.c1.dtype == grid.c2.dtype == r1.dtype
+    assert grid.w1.tobytes() == r1.tobytes()
+    assert grid.w2.tobytes() == r2.tobytes()
     assert grid.c1.tobytes() == (2.0 * r1).tobytes()
     assert grid.c2.tobytes() == (2.0 * r1 * r1 + 2.0 * r2).tobytes()
 
 
+@pytest.mark.parametrize("grid_density", [8, 12, 24])
+def test_grid_is_nested_in_the_grid_at_2n_minus_1(grid_density):
+    small = oracle._grid.__wrapped__(grid_density)
+    large = oracle._grid.__wrapped__(2 * grid_density - 1)
+    jets = set(zip(large.w1.tolist(), large.w2.tolist()))
+    assert all(jet in jets for jet in zip(small.w1.tolist(), small.w2.tolist()))
+
+
+@pytest.mark.parametrize("grid_density", [8, 9, 24, MAX_GRID_DENSITY])
+def test_every_grid_jet_is_strictly_feasible(grid_density):
+    # on the rim itself the functionals round a few ulps above the bounds
+    grid = oracle._grid.__wrapped__(grid_density)
+    r1 = np.abs(grid.w1)
+    assert (r1 < 1.0).all()
+    assert (np.abs(grid.w2) < 1.0 - r1 * r1).all()
+
+
 @pytest.mark.parametrize("grid_density", [8, 9, 12])
-def test_record_witness_is_the_meshgrid_jet_at_every_index(grid_density):
-    # the witness is rebuilt from its index, one scalar at a time; past the
-    # grid come the extremal jets of the tail
+def test_record_witness_is_the_loop_built_jet_at_every_index(grid_density):
+    # past the grid come the extremal jets of the tail
     cfg = OracleConfig(grid_density=grid_density, random_samples=0)
-    r1, r2 = _meshgrid_jets(grid_density)
+    r1, r2 = _rim_jets(grid_density)
     witnesses = [oracle._record(0.0, 0.0, (0.0, i), "max", cfg).witness for i in range(r1.size + 4)]
     assert np.array([w.w1 for w in witnesses[: r1.size]]).tobytes() == r1.tobytes()
     assert np.array([w.w2 for w in witnesses[: r1.size]]).tobytes() == r2.tobytes()
     assert [(w.w1, w.w2) for w in witnesses[r1.size :]] == [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("random_samples", [0, 1, 7999, 8000, 16_003])
+@pytest.mark.parametrize("include_extremals", [False, True])
+def test_tail_is_byte_equal_to_one_draw(monkeypatch, block, random_samples, include_extremals):
+    # the tail is drawn BLOCK rows at a time; the generator's stream is the same
+    if block:
+        monkeypatch.setattr(oracle, "BLOCK", block)
+    w1, w2 = oracle._sample_jets.__wrapped__(random_samples, include_extremals, 11)
+    r1, r2 = schwarz_jets_from_rows(np.random.default_rng(11).random((random_samples, 4)))
+    if include_extremals:
+        r1 = np.concatenate([r1, [1.0, 0.0, -1.0, 0.0]])
+        r2 = np.concatenate([r2, [0.0, 1.0, 0.0, -1.0]])
+    assert w1.dtype == w2.dtype == r1.dtype == r2.dtype
+    assert w1.tobytes() == r1.tobytes()
+    assert w2.tobytes() == r2.tobytes()
 
 
 def test_seeds_share_one_grid():
@@ -427,8 +466,8 @@ class TestPlainArgmaxReference:
 
 
 class TestBlockedReduction:
-    # about 1.2k jets: the grid is symmetric, so (w1, w2) and (-w1, w2) tie
-    # exactly, and small blocks put ties on both sides of block edges
+    # 512 jets: the extremal jets (1, 0) and (-1, 0) tie exactly, as do (0, 1)
+    # and (0, -1), and small blocks put ties on both sides of block edges
     SMALL = OracleConfig(grid_density=8, random_samples=200)
 
     @staticmethod
@@ -475,8 +514,8 @@ class TestBlockedReduction:
 
     def test_no_call_allocates_a_set_sized_array(self):
         # with the sample set warm, a call holds a few blocks of BLOCK jets at
-        # a time; one complex array over the default set is 2.7 MiB
-        cfg = OracleConfig()
+        # a time; one complex array over this set of 201,712 jets is 3.1 MiB
+        cfg = OracleConfig(grid_density=MAX_GRID_DENSITY, random_samples=100_000)
         calls = [
             lambda: verify_fs("starlike", 0.5, KOEBE, PQ, cfg),
             lambda: sweep("convex", (-2.0, 3.0, 0.25), KOEBE, PQ, cfg),
@@ -496,7 +535,7 @@ class TestBlockedReduction:
 
     def test_fresh_seed_allocates_only_its_tail(self):
         # the grid is shared across seeds: a new seed draws 10,004 tail jets
-        # (0.3 MiB kept), while the grid's c1 and c2 are 5.1 MiB
+        # (0.3 MiB kept), while the grid's w1, w2, c1 and c2 are 0.7 MiB
         verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig())
         oracle._sample_jets.cache_clear()
         tracemalloc.start()
