@@ -1,9 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqfs.classes import (
+    TURN_STEPS,
     CaratheodoryJet,
     Kernel,
     MaMindaTarget,
@@ -13,8 +17,10 @@ from pqfs.classes import (
     convex_member,
     deformation_numbers,
     sample_schwarz_jet,
+    schwarz_jets_from_rows,
     starlike_member,
     subordination_residual,
+    unit_turns,
 )
 from pqfs.pq_core import DomainError, PQParams
 
@@ -192,3 +198,70 @@ class TestScaledKernel:
     def test_bad_multipliers_rejected(self, L2, L3):
         with pytest.raises(DomainError, match="multipliers"):
             Kernel.of("convex", PQ).scaled(L2, L3)
+
+
+def _turn_errors(u: np.ndarray) -> tuple[float, float]:
+    """(largest component error against e^(2 pi i u), largest | |e| - 1 |)
+    of ``unit_turns``, both in 50-digit arithmetic."""
+    e = unit_turns(u)
+    with mpmath.workdps(50):
+        component = modulus = mpmath.mpf(0)
+        for t, z in zip(u.tolist(), e.tolist()):
+            exact = mpmath.expjpi(2 * mpmath.mpf(t))
+            re, im = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+            component = max(component, abs(re - exact.real), abs(im - exact.imag))
+            modulus = max(modulus, abs(mpmath.sqrt(re * re + im * im) - 1))
+        return float(component), float(modulus)
+
+
+class TestUnitTurns:
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50))
+    @settings(max_examples=200, deadline=None)
+    def test_within_an_ulp_of_the_true_rotation(self, us):
+        component, modulus = _turn_errors(np.array(us))
+        assert component <= 1e-15
+        assert modulus <= 4.5e-16
+
+    def test_table_edges_and_the_floats_just_below(self):
+        edges = np.arange(TURN_STEPS) / TURN_STEPS
+        below = np.nextafter(np.arange(1, TURN_STEPS + 1) / TURN_STEPS, 0.0)
+        component, modulus = _turn_errors(np.concatenate([edges, below]))
+        assert component <= 1e-15
+        assert modulus <= 4.5e-16
+
+    def test_quarter_turns_are_exact(self):
+        e = unit_turns(np.array([0.0, 0.25, 0.5, 0.75]))
+        assert e.tolist() == [1, 1j, -1, -1j]
+
+    def test_period_one_beyond_the_unit_interval(self):
+        # the table index is taken mod TURN_STEPS, also for negative u
+        u = np.random.default_rng(4).random(200)
+        for shift in (-3.0, -1.0, 2.0):
+            component, _ = _turn_errors(u + shift)
+            assert component <= 1e-15
+
+
+class TestJetsFromRows:
+    def test_matches_the_complex_exp_formula(self):
+        rows = np.random.default_rng(5).random((2000, 4))
+        w1, w2 = schwarz_jets_from_rows(rows)
+        r1 = np.sqrt(rows[:, 0])
+        assert np.abs(w1 - r1 * np.exp(2j * np.pi * rows[:, 1])).max() <= 1e-15
+        r2 = np.sqrt(rows[:, 2]) * (1.0 - r1 * r1)
+        assert np.abs(w2 - r2 * np.exp(2j * np.pi * rows[:, 3])).max() <= 1e-15
+
+    def test_no_rows(self):
+        w1, w2 = schwarz_jets_from_rows(np.empty((0, 4)))
+        assert w1.size == w2.size == 0 and w1.dtype == complex
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.0, -0.1, math.inf])
+    def test_variates_outside_the_unit_interval_refused(self, bad):
+        rows = np.full((3, 4), 0.5)
+        rows[1, 2] = bad
+        with pytest.raises(DomainError, match=r"\[0, 1\)"):
+            schwarz_jets_from_rows(rows)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 5), (2, 4, 1)])
+    def test_wrong_shape_refused(self, shape):
+        with pytest.raises(DomainError, match=r"shape \(n, 4\)"):
+            schwarz_jets_from_rows(np.full(shape, 0.5))

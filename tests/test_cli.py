@@ -186,6 +186,15 @@ class TestVerifyCommand:
         assert "FAIL" in out
         assert "attained:    no" in out
 
+    def test_large_bound_attained_without_extremals(self, capsys):
+        # gap 1.4e-6 at a bound of 783098.6: far above the 1e-9 tolerance, 1.8e-12 relative
+        code, out, _ = run(
+            ["verify", "--no-extremals", "--phi", "1000,0", "--p", "0.9", "--q", "0.6", "--mu", "0.9"], capsys
+        )
+        assert code == 0
+        assert "theoretical: 783098.591549" in out
+        assert "attained:    yes" in out and "status:      PASS" in out
+
     def test_csv_complex_mu_refused_before_sampling(self, capsys, monkeypatch):
         import pqfs.oracle
 

@@ -151,6 +151,23 @@ class TestVerificationRecord:
         assert not record.attained
         assert oracle._record(0.0, 1.0, (1.0 - 1e-12, 0), "max_form", cfg).attained
 
+    def test_attained_is_relative_to_a_bound_above_one(self):
+        cfg = OracleConfig(grid_density=8, random_samples=0)
+        # tolerance 1e-9: at a bound of 1000 a gap of 1e-7 is 1e-10 relative
+        assert oracle._record(0.0, 1000.0, (1000.0 - 1e-7, 0), "max_form", cfg).attained
+        assert not oracle._record(0.0, 1000.0, (1000.0 - 2e-6, 0), "max_form", cfg).attained
+        # passed keeps its absolute slack, so a violation never reads as attained
+        above = oracle._record(0.0, 1000.0, (1000.0 + 1e-7, 0), "max_form", cfg)
+        assert above.status == "FAIL" and not above.attained
+        # below a bound of 1 the slack stays absolute
+        assert not oracle._record(0.0, 0.5, (0.5 - 2e-9, 0), "max_form", cfg).attained
+
+    def test_large_bound_attained_by_the_grid(self):
+        cfg = OracleConfig(include_extremals=False)
+        record = verify_fs("starlike", 0.9, MaMindaTarget((1000.0, 0.0)), PQ, cfg)
+        assert record.status == "PASS" and record.attained
+        assert cfg.tolerance < record.gap <= 1e-11 * record.theoretical
+
 
 class TestVerifyFS:
     def test_starlike_classical(self):
