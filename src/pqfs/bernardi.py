@@ -72,20 +72,20 @@ def bernardi_transform(f: TruncatedSeries, bp: BernardiParams) -> TruncatedSerie
     """Apply the operator coefficientwise; the input must be normalized."""
     if not f.is_normalized:
         raise DomainError("bernardi_transform needs a normalized series (a0 = 0, a1 = 1)")
-    return TruncatedSeries(
-        [0j] + [bernardi_factor(n, bp) * f.coeffs[n] for n in range(1, f.order + 1)]
-    )
+    cs = f.coeffs
+    return TruncatedSeries._of((0j, *[bernardi_factor(n, bp) * cs[n] for n in range(1, len(cs))]))
 
 
 def _shift_up(s: TruncatedSeries, k: int) -> TruncatedSeries:
     # multiply by z^k; shifted coefficients are exact, so the order grows
-    return TruncatedSeries([0j] * k + list(s.coeffs))
+    return TruncatedSeries._of((*(0j,) * k, *s.coeffs))
 
 
 def _shift_down(s: TruncatedSeries, k: int) -> TruncatedSeries:
-    if any(s.coeffs[i] != 0 for i in range(k)):
+    # callers keep at least one coefficient above z^k
+    if any(s.coeffs[:k]):
         raise DomainError(f"cannot divide by z^{k}: lower-order coefficients are nonzero")
-    return TruncatedSeries(s.coeffs[k:])
+    return TruncatedSeries._of(s.coeffs[k:])
 
 
 def bernardi_transform_integral(f: TruncatedSeries, bp: BernardiParams) -> TruncatedSeries:

@@ -282,21 +282,23 @@ class Kernel(NamedTuple):
             den = three * (three - 1.0) * b1 * b1
             head = two * two * (two - 1.0) * b1 * b1
             fac = (two * two - 1.0) ** 2
-            nums = head + fac * (b2 - b1), head + fac * (b2 + b1), head + fac * b2
+            n1, n2, n3 = head + fac * (b2 - b1), head + fac * (b2 + b1), head + fac * b2
         else:
-            # v(mu) crosses t at (b1^2 + B (b2 + (2t - 1) b1)) / (K b1^2), t = 0, 1, 1/2
+            # v(mu) crosses t at (b1^2 + B (b2 + (2t - 1) b1)) / (K b1^2), t = 0, 1, 1/2,
+            # where 2t - 1 is exactly -1, 1 and 0
             den = self.K * b1 * b1
-            nums = (b1 * b1 + self.B * (b2 + (2.0 * t - 1.0) * b1) for t in (0.0, 1.0, 0.5))
+            head, B = b1 * b1, self.B
+            n1, n2, n3 = head + B * (b2 - b1), head + B * (b2 + b1), head + B * b2
         # b1 * b1 underflows to 0 for tiny targets and overflows for huge ones, and
         # NaN thresholds send every mu to the last branch.  On sympy symbols
         # den == 0.0 is False, and t - t is 0 exactly for finite t (inf and NaN
         # give NaN): unlike math.isfinite it also accepts a symbolic kernel.
         if den == 0.0:
             raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: b1^2 underflows to 0")
-        out = tuple(n / den for n in nums)
-        if not all(t - t == 0 for t in out):
-            raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: got {out!r}")
-        return out
+        t1, t2, t3 = n1 / den, n2 / den, n3 / den
+        if not (t1 - t1 == 0 and t2 - t2 == 0 and t3 - t3 == 0):
+            raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: got {(t1, t2, t3)!r}")
+        return t1, t2, t3
 
     def select(
         self, mu: float, arg: float, phi: MaMindaTarget, t: tuple[float, float, float]
@@ -375,7 +377,7 @@ def _drop_z(s: TruncatedSeries) -> TruncatedSeries:
     # divide by z; valid only for series vanishing at 0
     if s.coeffs[0] != 0:
         raise DomainError("cannot divide by z: nonzero constant term")
-    return TruncatedSeries(s.coeffs[1:])
+    return TruncatedSeries._of(s.coeffs[1:])
 
 
 def subordination_residual(

@@ -287,25 +287,35 @@ def _cmd_region(args: argparse.Namespace) -> int:
     if not 16 <= args.grid <= MAX_REGION_GRID:
         raise DomainError(f"region grid must be in [16, {MAX_REGION_GRID}], got {args.grid}")
     params = PQParams.limit(args.p, args.q)
-    # z D f = sum [n] a_n z^n; pq_number is continuous through p = q
-    weighted = coeffs * [pq_number(n, params) for n in range(coeffs.size)]
-
     # cell centers keep every sample strictly inside (-1, 1) on each axis
     axis = (np.arange(args.grid) + 0.5) * (2.0 / args.grid) - 1.0
+    # every row is computed before the first is written, so a refusal leaves no partial table
+    rows = []
+    try:
+        with np.errstate(over="raise"):
+            # z D f = sum [n] a_n z^n; pq_number is continuous through p = q
+            weighted = coeffs * [pq_number(n, params) for n in range(coeffs.size)]
+            for x in axis:
+                zs = x + 1j * axis
+                num, den = np.polyval(weighted[::-1], zs), np.polyval(coeffs[::-1], zs)
+                # the quotient may still overflow next to a zero of f: nan, like the zero itself
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    re = np.real(num / den)
+                re = np.where(np.isfinite(re), re, np.nan)
+                re = np.where(np.abs(zs) < 1.0, re, np.nan)
+                near_zero = np.abs(zs) < 1e-12
+                if near_zero.any():
+                    origin = 1.0 if (coeffs[0] == 0 and len(coeffs) > 1 and coeffs[1] != 0) else np.nan
+                    re = np.where(near_zero, origin, re)
+                rows.append(re)
+    except FloatingPointError:
+        raise DomainError(
+            f"f = {args.f!r} overflows on the grid: f or z D f exceeds the largest float"
+        ) from None
     with _output(args) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["x", "y", "re"])
-        for x in axis:
-            zs = x + 1j * axis
-            with np.errstate(divide="ignore", invalid="ignore"):
-                quot = np.polyval(weighted[::-1], zs) / np.polyval(coeffs[::-1], zs)
-            re = np.real(quot)
-            re = np.where(np.isfinite(re), re, np.nan)
-            re = np.where(np.abs(zs) < 1.0, re, np.nan)
-            near_zero = np.abs(zs) < 1e-12
-            if near_zero.any():
-                origin = 1.0 if (coeffs[0] == 0 and len(coeffs) > 1 and coeffs[1] != 0) else np.nan
-                re = np.where(near_zero, origin, re)
+        for x, re in zip(axis, rows):
             for y, val in zip(axis, re):
                 writer.writerow([_FMT(x), _FMT(y), "nan" if np.isnan(val) else _FMT(val)])
     return 0

@@ -89,6 +89,21 @@ def pq_number(n: int, params: PQParams) -> float:
     return value
 
 
+def _product(a: tuple[complex, ...], b: tuple[complex, ...], n: int) -> list[complex]:
+    """Coefficients 0..n of the product a b.
+
+    Each is a left fold from the integer 0, the additions ``sum`` makes,
+    so a coefficient whose terms are all -0.0 comes out +0.0.
+    """
+    out = []
+    for k in range(n + 1):
+        acc = 0
+        for i in range(k + 1):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
 @dataclass(frozen=True, init=False)
 class TruncatedSeries:
     """Coefficient jet a0 + a1 z + ... + aN z^N of an analytic function.
@@ -97,12 +112,21 @@ class TruncatedSeries:
     the truncation honest: the result carries the smaller of the two
     operand orders, and division/composition are tracked to that same
     order.  Instances are immutable.
+
+    The constructor converts and checks what it is given.  Arithmetic
+    builds its results through ``_of`` instead, from coefficients it has
+    already made Python complex, with the same operations in the same
+    order, so the results are bit for bit those of the constructor path.
     """
 
     coeffs: tuple[complex, ...]
 
     #: Default truncation order used by convenience constructors.
     DEFAULT_ORDER = 8
+
+    #: numpy defers to the reflected operators, so np.float64(1.0) + f is
+    #: a series, not an array of the sums with each coefficient.
+    __array_ufunc__ = None
 
     def __init__(self, coeffs: Iterable[complex], order: int | None = None):
         cs = [complex(c) for c in coeffs]
@@ -113,6 +137,14 @@ class TruncatedSeries:
         if not cs:
             raise DomainError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @staticmethod
+    def _of(coeffs: tuple[complex, ...]) -> "TruncatedSeries":
+        """A series holding ``coeffs`` as is: a non-empty tuple of Python
+        complex, which the caller guarantees."""
+        s = object.__new__(TruncatedSeries)
+        object.__setattr__(s, "coeffs", coeffs)
+        return s
 
     @classmethod
     def monomial(cls, degree: int, order: int | None = None) -> "TruncatedSeries":
@@ -128,7 +160,8 @@ class TruncatedSeries:
     @property
     def is_normalized(self) -> bool:
         """True when a0 = 0 and a1 = 1 (the usual disc normalization)."""
-        return self.order >= 1 and self.coeffs[0] == 0 and self.coeffs[1] == 1
+        cs = self.coeffs
+        return len(cs) > 1 and cs[0] == 0 and cs[1] == 1
 
     def __getitem__(self, n: int) -> complex:
         return self.coeffs[n]
@@ -140,18 +173,25 @@ class TruncatedSeries:
         return len(self.coeffs)
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs, order=order)
+        if order < 0:
+            raise DomainError(f"series order must be >= 0, got {order}")
+        cs = self.coeffs
+        pad = order + 1 - len(cs)
+        if pad <= 0:
+            return TruncatedSeries._of(cs[: order + 1])
+        return TruncatedSeries._of((*cs, *(0j,) * pad))
 
     def __add__(self, other: "TruncatedSeries | complex") -> "TruncatedSeries":
+        cs = self.coeffs
         if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-        return TruncatedSeries((self.coeffs[0] + other,) + self.coeffs[1:])
+            # zip stops at the shorter operand, the smaller order
+            return TruncatedSeries._of(tuple([a + b for a, b in zip(cs, other.coeffs)]))
+        return TruncatedSeries._of((complex(cs[0] + other), *cs[1:]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._of(tuple([-c for c in self.coeffs]))
 
     def __sub__(self, other: "TruncatedSeries | complex") -> "TruncatedSeries":
         return self + (-other if isinstance(other, TruncatedSeries) else -complex(other))
@@ -161,42 +201,45 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries | complex") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            out = [
-                sum(self.coeffs[i] * other.coeffs[k - i] for i in range(k + 1))
-                for k in range(n + 1)
-            ]
-            return TruncatedSeries(out)
-        return TruncatedSeries([c * other for c in self.coeffs])
+            n = min(len(self.coeffs), len(other.coeffs)) - 1
+            return TruncatedSeries._of(tuple(_product(self.coeffs, other.coeffs, n)))
+        s = complex(other)
+        return TruncatedSeries._of(tuple([c * s for c in self.coeffs]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "TruncatedSeries | complex") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return self * (1.0 / complex(other))
-        if other.coeffs[0] == 0:
+        a, b = self.coeffs, other.coeffs
+        b0 = b[0]
+        if b0 == 0:
             raise DomainError("series division needs a nonzero constant term in the divisor")
-        n = min(self.order, other.order)
         out: list[complex] = []
-        for k in range(n + 1):
-            acc = self.coeffs[k] - sum(out[i] * other.coeffs[k - i] for i in range(k))
-            out.append(acc / other.coeffs[0])
-        return TruncatedSeries(out)
+        for k in range(min(len(a), len(b))):
+            # a left fold from 0, as in _product
+            acc = 0
+            for i in range(k):
+                acc += out[i] * b[k - i]
+            out.append((a[k] - acc) / b0)
+        return TruncatedSeries._of(tuple(out))
 
     def __rtruediv__(self, other: complex) -> "TruncatedSeries":
         return TruncatedSeries([other], order=self.order) / self
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Substitute ``inner`` for the variable; inner must vanish at 0."""
-        if inner.coeffs[0] != 0:
+        w = inner.coeffs
+        if w[0] != 0:
             raise DomainError("composition needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        w = inner.truncate(n)
+        a = self.coeffs
+        n = min(len(a), len(w)) - 1
         # Horner evaluation with series arithmetic at the working order.
-        acc = TruncatedSeries([self.coeffs[n]], order=n)
+        acc = [a[n], *(0j,) * n]
         for k in range(n - 1, -1, -1):
-            acc = acc * w + self.coeffs[k]
-        return acc
+            acc = _product(acc, w, n)
+            acc[0] += a[k]
+        return TruncatedSeries._of(tuple(acc))
 
 
 def pq_derivative(f: TruncatedSeries, params: PQParams) -> TruncatedSeries:
@@ -204,9 +247,10 @@ def pq_derivative(f: TruncatedSeries, params: PQParams) -> TruncatedSeries:
 
     The order drops by one, so the input must carry order >= 1.
     """
-    if f.order < 1:
+    cs = f.coeffs
+    if len(cs) < 2:
         raise DomainError("pq_derivative needs a series of order >= 1")
-    return TruncatedSeries([pq_number(n, params) * f.coeffs[n] for n in range(1, f.order + 1)])
+    return TruncatedSeries._of(tuple([pq_number(n, params) * cs[n] for n in range(1, len(cs))]))
 
 
 def pq_integral(f: TruncatedSeries, params: PQParams) -> TruncatedSeries:
@@ -214,6 +258,5 @@ def pq_integral(f: TruncatedSeries, params: PQParams) -> TruncatedSeries:
 
     The order rises by one and the constant of integration is zero.
     """
-    return TruncatedSeries(
-        [0j] + [f.coeffs[n] / pq_number(n + 1, params) for n in range(f.order + 1)]
-    )
+    cs = f.coeffs
+    return TruncatedSeries._of((0j, *[cs[n] / pq_number(n + 1, params) for n in range(len(cs))]))

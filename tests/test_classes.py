@@ -200,6 +200,93 @@ class TestScaledKernel:
             Kernel.of("convex", PQ).scaled(L2, L3)
 
 
+def _generator_thresholds(k: Kernel, phi: MaMindaTarget, printed_form: bool = False):
+    """``Kernel.thresholds`` as written with generator expressions over
+    t = 0, 1, 1/2 and (2t - 1) b1, before its numerators were spelled out."""
+    b1, b2 = phi.b1, phi.b2
+    if not (b1 > 0.0 and b2 >= 0.0):
+        raise DomainError(f"piecewise thresholds need b1 > 0 and b2 >= 0, got b1={b1:g}, b2={b2:g}")
+    if printed_form and k.two is None:
+        raise DomainError(
+            "printed thresholds need the deformed integers, which a scaled kernel does not "
+            "keep; for the Bernardi image use image_kernel(..., printed_form=True)"
+        )
+    if printed_form and k.kind == "convex":
+        two, three = k.two, k.three
+        den = three * (three - 1.0) * b1 * b1
+        head = two * two * (two - 1.0) * b1 * b1
+        fac = (two * two - 1.0) ** 2
+        nums = head + fac * (b2 - b1), head + fac * (b2 + b1), head + fac * b2
+    else:
+        den = k.K * b1 * b1
+        nums = (b1 * b1 + k.B * (b2 + (2.0 * t - 1.0) * b1) for t in (0.0, 1.0, 0.5))
+    if den == 0.0:
+        raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: b1^2 underflows to 0")
+    out = tuple(n / den for n in nums)
+    if not all(t - t == 0 for t in out):
+        raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: got {out!r}")
+    return out
+
+
+def _threshold_bits(build):
+    try:
+        return [t.hex() for t in build()]
+    except DomainError as exc:
+        return str(exc)
+
+
+_TARGET_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-200, 1e-170, 1e-162, 5e-324, 1e154, 1e200, 1e308]),
+    st.floats(-5.0, 5.0),
+    st.floats(-1e308, 1e308),
+)
+
+
+class TestThresholdsBitForBit:
+    @given(
+        kind=st.sampled_from(["starlike", "convex"]),
+        p=st.floats(0.55, 1.0),
+        frac=st.floats(0.01, 0.99),
+        scale=st.one_of(st.none(), st.tuples(st.floats(1e-3, 4.0), st.floats(1e-3, 4.0))),
+        b1=_TARGET_PART.filter(lambda x: x != 0.0),
+        b2=_TARGET_PART,
+        printed=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_generator_formula(self, kind, p, frac, scale, b1, b2, printed):
+        q = p * frac
+        try:
+            k = Kernel.of(kind, PQParams(p, q))
+        except DomainError:
+            return  # p + q <= 1 or [3] <= 1: no kernel
+        if scale is not None:
+            k = k.scaled(*scale)
+        phi = MaMindaTarget((b1, b2))
+        assert _threshold_bits(lambda: k.thresholds(phi, printed)) == _threshold_bits(
+            lambda: _generator_thresholds(k, phi, printed)
+        )
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    @pytest.mark.parametrize(
+        "b, refusal",
+        [
+            ((1e-200, 0.0), "b1^2 underflows"),
+            ((1e308, 1e308), "got ("),
+            # b1^2 underflows to 0 but K b1 b1 does not, and b2 = -0.0 is the
+            # one target where B (b2 + 0 b1) and B b2 differ in sign
+            ((1.55e-162, -0.0), None),
+        ],
+    )
+    def test_refusals_and_signed_zero(self, kind, b, refusal):
+        k, phi = Kernel.of(kind, PQ), MaMindaTarget(b)
+        bits = _threshold_bits(lambda: k.thresholds(phi))
+        assert bits == _threshold_bits(lambda: _generator_thresholds(k, phi))
+        if refusal is None:
+            assert isinstance(bits, list) and bits[2] == "0x0.0p+0"
+        else:
+            assert refusal in bits
+
+
 def _turn_errors(u: np.ndarray) -> tuple[float, float]:
     """(largest component error against e^(2 pi i u), largest | |e| - 1 |)
     of ``unit_turns``, both in 50-digit arithmetic."""

@@ -476,6 +476,25 @@ class TestRegionCommand:
         assert code == 2
         assert "finite" in err and out == ""
 
+    @pytest.mark.parametrize("out", [False, True])
+    def test_overflowing_spec_exit_2(self, out, tmp_path, capsys):
+        # f reaches 2e308 on the disc: a refusal, not nan cells and overflow warnings
+        out_path = tmp_path / "overflow.csv"
+        argv = ["region", "--f", "0,1,1e308,1e308", "--p", "0.9", "--q", "0.6", "--grid", "16"]
+        code, stdout, err = run(argv + (["--out", str(out_path)] if out else []), capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: f = '0,1,1e308,1e308' overflows on the grid")
+        assert not out_path.exists()
+
+    def test_large_finite_spec_is_the_scaled_field(self, capsys):
+        # scaling f by 2^660 scales f and z D f exactly, so every cell keeps its bytes
+        big = 2.0**660
+        _, plain, _ = run(["region", "--f", "0,1,0.3,0.2", "--p", "0.9", "--q", "0.6", "--grid", "16"], capsys)
+        spec = ",".join(repr(a * big) for a in (0.0, 1.0, 0.3, 0.2))
+        code, scaled, err = run(["region", "--f", spec, "--p", "0.9", "--q", "0.6", "--grid", "16"], capsys)
+        assert code == 0 and err == ""
+        assert scaled == plain
+
     def test_huge_grid_exit_2(self, capsys):
         grid = str(MAX_REGION_GRID + 1)
         code, out, err = run(["region", "--f", "0,1", "--p", "0.9", "--q", "0.6", "--grid", grid], capsys)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqfs.bernardi import BernardiParams, bernardi_factor, bernardi_transform, bernardi_transform_integral
 from pqfs.pq_core import DomainError, PQParams, TruncatedSeries, pq_derivative, pq_integral, pq_number
 
 
@@ -251,3 +252,206 @@ class TestDerivativeIntegral:
                 back = pq_derivative(pq_integral(f, params), params)
                 # (a / [n]) * [n] can be off by one ulp per coefficient
                 assert np.allclose(list(back), list(f), rtol=1e-14, atol=1e-15)
+
+
+class TestNumpyScalars:
+    """numpy scalars on either side of a series defer to the series' own
+    operators, so the result is a series of Python complex coefficients."""
+
+    F = TruncatedSeries([1, 2, 3])
+
+    @pytest.mark.parametrize("scalar", [np.float64(2.0), np.complex128(2.0 + 0.5j)], ids=["float64", "complex128"])
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda s, f: s + f,
+            lambda s, f: f + s,
+            lambda s, f: s - f,
+            lambda s, f: f - s,
+            lambda s, f: s * f,
+            lambda s, f: f * s,
+            lambda s, f: s / f,
+            lambda s, f: f / s,
+        ],
+        ids=["s+f", "f+s", "s-f", "f-s", "s*f", "f*s", "s/f", "f/s"],
+    )
+    def test_result_is_the_series_of_the_python_scalar(self, scalar, op):
+        out = op(scalar, self.F)
+        assert isinstance(out, TruncatedSeries)
+        assert all(type(c) is complex for c in out.coeffs)
+        assert out == op(complex(scalar), self.F)
+
+    def test_left_scalar_touches_only_what_the_series_algebra_says(self):
+        f = self.F
+        assert (np.float64(1.0) + f).coeffs == (2, 2, 3)
+        assert (np.float64(1.0) - f).coeffs == (0, -2, -3)
+        assert (np.float64(2.0) * f).coeffs == (2, 4, 6)
+        assert (np.float64(1.0) / f).coeffs == (1, -2, 1)
+
+
+# The series algebra as it was written before its results were built
+# through ``TruncatedSeries._of``: every result went through the public
+# constructor and products summed with ``sum``.  Coefficients are tuples.
+
+
+def _ref_series(coeffs, order=None):
+    cs = [complex(c) for c in coeffs]
+    if order is not None:
+        if order < 0:
+            raise DomainError(f"series order must be >= 0, got {order}")
+        cs = (cs + [0j] * (order + 1 - len(cs)))[: order + 1]
+    if not cs:
+        raise DomainError("a series needs at least its constant coefficient")
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    return _ref_series([a[k] + b[k] for k in range(min(len(a), len(b)))])
+
+
+def _ref_add_scalar(a, s):
+    return _ref_series((a[0] + s,) + a[1:])
+
+
+def _ref_neg(a):
+    return _ref_series([-c for c in a])
+
+
+def _ref_mul(a, b):
+    n = min(len(a), len(b)) - 1
+    return _ref_series([sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)])
+
+
+def _ref_mul_scalar(a, s):
+    return _ref_series([c * s for c in a])
+
+
+def _ref_div(a, b):
+    if b[0] == 0:
+        raise DomainError("series division needs a nonzero constant term in the divisor")
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = a[k] - sum(out[i] * b[k - i] for i in range(k))
+        out.append(acc / b[0])
+    return _ref_series(out)
+
+
+def _ref_compose(a, w):
+    if w[0] != 0:
+        raise DomainError("composition needs an inner series with zero constant term")
+    n = min(len(a), len(w)) - 1
+    w = _ref_series(w, order=n)
+    acc = _ref_series([a[n]], order=n)
+    for k in range(n - 1, -1, -1):
+        acc = _ref_add_scalar(_ref_mul(acc, w), a[k])
+    return acc
+
+
+def _ref_derivative(a, params):
+    if len(a) < 2:
+        raise DomainError("pq_derivative needs a series of order >= 1")
+    return _ref_series([pq_number(n, params) * a[n] for n in range(1, len(a))])
+
+
+def _ref_integral(a, params):
+    return _ref_series([0j] + [a[n] / pq_number(n + 1, params) for n in range(len(a))])
+
+
+def _ref_normalized(a):
+    if not (len(a) > 1 and a[0] == 0 and a[1] == 1):
+        raise DomainError("bernardi transforms need a normalized series")
+
+
+def _ref_bernardi(a, bp):
+    _ref_normalized(a)
+    return _ref_series([0j] + [bernardi_factor(n, bp) * a[n] for n in range(1, len(a))])
+
+
+def _ref_shift_down(a, k):
+    if any(a[i] != 0 for i in range(k)):
+        raise DomainError(f"cannot divide by z^{k}: lower-order coefficients are nonzero")
+    return _ref_series(a[k:])
+
+
+def _ref_bernardi_integral(a, bp):
+    _ref_normalized(a)
+    c = bp.c
+    integrand = _ref_series([0j] * (c - 1) + list(a)) if c >= 1 else _ref_shift_down(a, 1)
+    return _ref_mul_scalar(_ref_shift_down(_ref_integral(integrand, bp.base), c), pq_number(1 + c, bp.base))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 7, -1e-310, 1.0, -1.0, 0.5]
+_REAL = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e6, 1e6, allow_subnormal=True))
+_COMPLEX = st.builds(complex, _REAL, _REAL)
+_COEFFS = st.lists(_COMPLEX, min_size=1, max_size=9)  # orders 0 to 8
+_SCALAR = st.one_of(_REAL, _COMPLEX)
+_PARAMS = st.sampled_from([PQParams(0.9, 0.6), PQParams(0.8, 0.5), PQParams.limit(1.0, 1.0), PQParams(0.95, 0.3)])
+
+
+def _bits(build):
+    """float.hex of every coefficient part, so signed zeros count, or the
+    type of the refusal."""
+    try:
+        out = build()
+    except (DomainError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+    coeffs = out.coeffs if isinstance(out, TruncatedSeries) else out
+    assert all(type(c) is complex for c in coeffs)
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+
+class TestSeriesAlgebraBitForBit:
+    @given(a=_COEFFS, b=_COEFFS, s=_SCALAR)
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic(self, a, b, s):
+        f, g = TruncatedSeries(a), TruncatedSeries(b)
+        a, b = tuple(f.coeffs), tuple(g.coeffs)
+        cases = [
+            (lambda: f + g, lambda: _ref_add(a, b)),
+            (lambda: f - g, lambda: _ref_add(a, _ref_neg(b))),
+            (lambda: -f, lambda: _ref_neg(a)),
+            (lambda: f * g, lambda: _ref_mul(a, b)),
+            (lambda: f / g, lambda: _ref_div(a, b)),
+            (lambda: f + s, lambda: _ref_add_scalar(a, s)),
+            (lambda: s + f, lambda: _ref_add_scalar(a, s)),
+            (lambda: f - s, lambda: _ref_add_scalar(a, -complex(s))),
+            (lambda: s - f, lambda: _ref_add_scalar(_ref_neg(a), s)),
+            (lambda: f * s, lambda: _ref_mul_scalar(a, s)),
+            (lambda: s * f, lambda: _ref_mul_scalar(a, s)),
+            (lambda: f / s, lambda: _ref_mul_scalar(a, 1.0 / complex(s))),
+            (lambda: s / f, lambda: _ref_div(_ref_series([s], order=len(a) - 1), a)),
+        ]
+        for new, ref in cases:
+            assert _bits(new) == _bits(ref)
+
+    @given(a=_COEFFS, w=_COEFFS, zero=st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1j]))
+    @settings(max_examples=200, deadline=None)
+    def test_compose(self, a, w, zero):
+        w = [zero] + w
+        assert _bits(lambda: TruncatedSeries(a).compose(TruncatedSeries(w))) == _bits(
+            lambda: _ref_compose(_ref_series(a), _ref_series(w))
+        )
+
+    @given(a=_COEFFS, order=st.integers(-1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_truncate_cuts_and_pads(self, a, order):
+        f = TruncatedSeries(a)
+        assert _bits(lambda: f.truncate(order)) == _bits(lambda: _ref_series(f.coeffs, order=order))
+
+    @given(a=_COEFFS, params=_PARAMS)
+    @settings(max_examples=200, deadline=None)
+    def test_derivative_and_integral(self, a, params):
+        f = TruncatedSeries(a)
+        assert _bits(lambda: pq_derivative(f, params)) == _bits(lambda: _ref_derivative(f.coeffs, params))
+        assert _bits(lambda: pq_integral(f, params)) == _bits(lambda: _ref_integral(f.coeffs, params))
+
+    @given(a=_COEFFS, params=_PARAMS, c=st.integers(0, 6), normalize=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bernardi_routes(self, a, params, c, normalize):
+        if normalize:
+            a = [0j, 1 + 0j] + a
+        f, bp = TruncatedSeries(a), BernardiParams(c, params)
+        assert _bits(lambda: bernardi_transform(f, bp)) == _bits(lambda: _ref_bernardi(f.coeffs, bp))
+        assert _bits(lambda: bernardi_transform_integral(f, bp)) == _bits(
+            lambda: _ref_bernardi_integral(f.coeffs, bp)
+        )
