@@ -16,7 +16,12 @@ their Caratheodory data c1, c2, for the last density used), and the
 per-seed tail of random and extremal jets (for the last config used).  Every functional
 is evaluated block by block over slices of at most ``BLOCK`` jets of one
 part, and a sweep evaluates all its mu on each block in one pass, so no
-check allocates an array as long as the sample set.
+check allocates an array as long as the sample set.  A sweep evaluates
+|a3 - mu a2^2| only on the jets that can still attain a block's maximum:
+a quadratic in mu with a proven slack selects them, and the records are
+bit-identical to those of one check per mu (``_sweep_argmax``) where numpy
+rounds a gathered jet as it does in the whole block, which
+``test_gathered_functional_equals_the_full_block`` checks.
 
 Sampling is deterministic for a fixed seed.  Record merging in sweeps is
 sequential and ordered by mu, so results are reproducible run to run.
@@ -28,7 +33,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -282,11 +287,12 @@ def _member_blocks(k: Kernel, phi: MaMindaTarget, cfg: OracleConfig) -> Blocks:
 Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _fs_functional(mu: complex) -> Functional:
+def _fs_functional(mu: complex | np.ndarray) -> Functional:
     """|y - mu x^2| of a block: |a3 - mu a2^2| over member jets, or
     |c2 - v c1^2| over the body.  One temporary per block; its in-place
     steps are the ufuncs of ``abs(y - mu * x * x)`` in the same order, so
-    the values match that expression bit for bit."""
+    the values match that expression bit for bit.  mu may also be an array
+    as long as the block, one mu per jet (the sweep's prefilter)."""
 
     def values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t = np.multiply(mu, x)
@@ -297,23 +303,146 @@ def _fs_functional(mu: complex) -> Functional:
     return values
 
 
+def _merge(best: list[tuple[float, int]], start: int, block: Iterable[tuple[float, int]]) -> None:
+    """Fold one block's (max, first index) per functional into ``best``.
+
+    A later block wins only with a strictly larger value, so the index is
+    the one ``np.argmax`` gives over the whole set.  Like ``np.argmax``, a
+    NaN counts as the largest value and the first NaN wins.
+    """
+    for k, (v, i) in enumerate(block):
+        top = best[k][0]
+        if v > top or (math.isnan(v) and not math.isnan(top)):
+            best[k] = (v, start + i)
+
+
 def _argmax(blocks: Blocks, functionals: Sequence[Functional]) -> list[tuple[float, int]]:
     """(max, first index) of each functional over all blocks, in one pass.
 
-    Each functional maps the two arrays of a block to real values.  Within
-    a block ``np.argmax`` picks the first maximum; across blocks a later
-    block wins only with a strictly larger value, so the index is the one
-    ``np.argmax`` gives over the whole set.  Like ``np.argmax``, a NaN
-    counts as the largest value and the first NaN wins.
+    Each functional maps the two arrays of a block to real values; within
+    a block ``np.argmax`` picks the first maximum.
     """
     best = [(-math.inf, -1)] * len(functionals)
     for start, x, y in blocks:
-        for k, functional in enumerate(functionals):
+        block = []
+        for functional in functionals:
             values = functional(x, y)
             i = int(np.argmax(values))
-            v, top = float(values[i]), best[k][0]
-            if v > top or (math.isnan(v) and not math.isnan(top)):
-                best[k] = (v, start + i)
+            block.append((float(values[i]), i))
+        _merge(best, start, block)
+    return best
+
+
+#: Relative slack of the sweep's prefilter and its absolute floor for
+#: products that underflow (see ``_sweep_argmax``).
+_ETA = 2.0**-40
+_FLOOR = 2.0**-960
+
+#: A chunk whose survivors are more than 1 / ``_SPARSE`` of its (mu, jet)
+#: pairs is evaluated whole: gathering costs more per pair than that saves.
+_SPARSE = 8
+
+#: The prefilter takes mu in chunks whose quadratic Q holds at most this
+#: many times ``BLOCK`` doubles (512 KB), whatever the number of mu.
+_Q_BLOCKS = 8
+
+
+def _sweep_argmax(blocks: Blocks, mus: Sequence[float]) -> list[tuple[float, int]]:
+    """``_argmax(blocks, [_fs_functional(mu) for mu in mus])`` for real mu,
+    bit for bit, with the exact functional evaluated only on the jets of a
+    block that can still attain its maximum.
+
+    For a block (x, y) and X = x^2 the squared functional is a quadratic in
+    mu, |y - mu X|^2 = A - 2 mu B + mu^2 C with the real rows A = |y|^2,
+    B = Re(conj(y) X) and C = |X|^2; one matmul gives Q = [1, -2 mu, mu^2]
+    [A; B; C] for a chunk of mu.  A jet j survives when Q_j >= max Q -
+    2 s_mu, where s_mu = 2 eta (max A + mu^2 max C) + floor (1 + |mu|)^2,
+    eta = 2^-40 and floor = 2^-960.  On the survivors only, the unchanged
+    ``_fs_functional`` (the same ufuncs in the same order, with mu an
+    array) gives the values, and their maximum and first index; blocks
+    merge as in ``_argmax``.  A chunk's Q holds at most ``_Q_BLOCKS`` *
+    ``BLOCK`` doubles and its survivors are evaluated before the next
+    chunk's, so no array grows with the number of mu beyond the mu
+    themselves.
+
+    Why no maximizer is dropped: every rounded quantity here, Q_j and the
+    square of the computed value v_j alike, lies within 2 c u (A + mu^2 C)
+    + d 2^-1074 (1 + |mu|)^2 of the exact |y - mu x^2|^2, with c < 64,
+    d < 16 and u = 2^-53.  The first term is the rounding of normal
+    numbers, within c u (|y| + |mu| |x|^2)^2; the second is that of
+    products that underflow, whose absolute error of at most 2^-1075 A, B
+    and C carry into Q times 1, 2|mu| and mu^2 (where X itself underflows,
+    2ab <= u a^2 + b^2 / u splits its cross terms between the two).  So
+    each lies within s_mu, the first term with more than 100x margin and
+    the second with more than 2^100x.  A j that attains max v then has
+    Q_j >= v_j^2 - s_mu >= v_k^2 - s_mu >= Q_k - 2 s_mu for every k.
+
+    The bound needs every square finite, and the filter pays only where it
+    drops most jets, so some mu go through ``_argmax`` unchanged: all mu of
+    a block whose largest part of x^2 lies outside [2^-450, 2^510) (NaN
+    jets, targets from |b1| near 1e75 up or below about 1e-68, where the
+    floor term outweighs mu^2 max C and subnormal rows cost tens of times
+    more than normal ones), and the mu of each chunk where max A + max
+    mu^2 max C is not below 2^1020 (inf jets, or |mu| from about 1.3e154
+    up) or more than 1 / ``_SPARSE`` of whose pairs survive (ties, or a
+    quadratic that cancels).  Rows are built only where some chunk can
+    pass: none for such a block or where every chunk holds a mu whose
+    square overflows, and no B row where no chunk fits.
+
+    The values are those of the whole block only if numpy rounds an
+    element the same in every array length, which
+    ``test_gathered_functional_equals_the_full_block`` checks (numpy 2.4.6
+    on an AVX-512 x86_64 host).  It does for two elements and more, but
+    its in-place complex multiply takes an unfused loop on a single
+    element.  So a block of one jet goes through ``_argmax`` too, and a
+    lone survivor is evaluated as a pair.
+    """
+    mu = np.array(mus, float)
+    with np.errstate(over="ignore"):
+        coef = np.stack([np.ones_like(mu), -2.0 * mu, mu * mu], axis=1)
+        under = 2.0 * ((np.abs(mu) + 1.0) * 2.0**-480) ** 2  # 2 floor (1 + |mu|)^2
+    reaches: dict[int, list[float]] = {}  # per chunk length: max mu^2 of each chunk
+    best = [(-math.inf, -1)] * mu.size
+    work = np.empty(0)
+    for start, x, y in blocks:
+        n = x.size
+        chunk = min(mu.size, max(1, _Q_BLOCKS * BLOCK // n))
+        if chunk not in reaches:
+            reaches[chunk] = np.maximum.reduceat(coef[:, 2], np.arange(0, mu.size, chunk)).tolist()
+        fits = [False] * len(reaches[chunk])
+        sq = x * x
+        top_sq = float(np.abs(sq.view(float)).max())  # max C lies in [top_sq^2, 2 top_sq^2]
+        if n > 1 and min(reaches[chunk]) < math.inf and 2.0**-450 <= top_sq < 2.0**510:
+            if work.size < (3 + chunk) * n:
+                # one buffer for [A; B; C] and Q per call: arrays this large come
+                # from fresh pages on each allocation, which costs more than the sums
+                work = np.empty((3 + chunk) * n)
+            abc = work[: 3 * n].reshape(3, n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(y.real * y.real, y.imag * y.imag, out=abc[0])
+                np.add(sq.real * sq.real, sq.imag * sq.imag, out=abc[2])
+                top_a, top_c = float(abc[0].max()), float(abc[2].max())
+                fits = [top_a + r * top_c < 2.0**1020 for r in reaches[chunk]]
+                if any(fits):
+                    np.add(y.real * sq.real, y.imag * sq.imag, out=abc[1])
+                    slack = (4.0 * _ETA) * (top_a + top_c * coef[:, 2]) + under
+        block: list[tuple[float, int]] = []
+        for fit, lo in zip(fits, range(0, mu.size, chunk)):
+            hi = min(lo + chunk, mu.size)
+            if fit:
+                q = np.matmul(coef[lo:hi], abc, out=work[3 * n : (3 + hi - lo) * n].reshape(hi - lo, n))
+                # np.flatnonzero: the 2-D np.nonzero is about ten times slower
+                keep = np.flatnonzero(q >= (q.max(axis=1) - slack[lo:hi])[:, None])
+            if not fit or keep.size > q.size // _SPARSE:
+                block += _argmax([(0, x, y)], [_fs_functional(m) for m in mus[lo:hi]])
+                continue
+            row, col = np.divmod(np.repeat(keep, 2) if keep.size == 1 else keep, n)  # no lone jet
+            values = _fs_functional(mu[lo + row])(x[col], y[col])
+            starts = np.flatnonzero(np.diff(row, prepend=-1))  # every row keeps its max
+            top = np.maximum.reduceat(values, starts)
+            first = np.minimum.reduceat(np.where(values == top[row], col, n), starts)
+            block += zip(top.tolist(), first.tolist())
+        _merge(best, start, block)
     return best
 
 
@@ -429,8 +558,15 @@ def sweep(
     ``MAX_SWEEP_POINTS`` points are domain errors.
 
     The member arrays do not depend on mu, so one pass over the member
-    blocks serves every mu; each record is bit-identical to the one
-    ``verify_fs`` returns for that mu.
+    blocks serves every mu.  Per block, |a3 - mu a2^2|^2 is a quadratic in
+    mu, and the exact functional runs only on the jets whose quadratic
+    comes within a proven rounding slack of the block's largest
+    (``_sweep_argmax``): 640 to 1,700 of the 455,448 (mu, jet) pairs of 21
+    mu at the default budget.  Each record is bit-identical to the one
+    ``verify_fs`` returns for that mu wherever
+    ``test_gathered_functional_equals_the_full_block`` passes, that is
+    where numpy gives a jet gathered from a block the bits it gives it in
+    the whole block (checked with numpy 2.4.6 on an AVX-512 x86_64 host).
     """
     lo, hi, step = mu_range
     if not all(math.isfinite(x) for x in mu_range):
@@ -457,7 +593,7 @@ def sweep(
         except DomainError as exc:
             reports.append(exc)
     live = [mu for mu, r in zip(mus, reports) if isinstance(r, BoundReport)]
-    bests = iter(_argmax(_member_blocks(k, phi, cfg), [_fs_functional(mu) for mu in live]) if live else [])
+    bests = iter(_sweep_argmax(_member_blocks(k, phi, cfg), live) if live else [])
     return [
         SweepEntry(mu=mu, record=_record(mu, r.value, next(bests), r.branch, cfg))
         if isinstance(r, BoundReport)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqfs import oracle
 from pqfs.bernardi import BernardiParams, bernardi_factor, verify_fs_bernardi
@@ -562,4 +564,177 @@ class TestBlockedReduction:
         finally:
             tracemalloc.stop()
         assert kept < 0.5 * 2**20
+        assert peak < 2 * 2**20
+
+
+class TestSweepPrefilter:
+    # oracle._sweep_argmax against the per-mu reduction it replaces in sweep
+    CHUNK = oracle._Q_BLOCKS  # mu per chunk on a block of BLOCK jets
+    SPECIALS = ["repeats", "extremals", "zeros", "nan", "inf", "tiny", "big_mu", "huge_mu"]
+
+    @staticmethod
+    def _hex(best):
+        return [(v.hex(), i) for v, i in best]
+
+    @staticmethod
+    def _data(rng, size, specials, scales):
+        """x = c1 and y = c2 of random jets of the body, scaled, with the
+        special values put in at random places."""
+        w1, w2 = schwarz_jets_from_rows(rng.random((size, 4)))
+        sx, sy = scales
+        x, y = 2.0 * sx * w1, sy * (2.0 * w1 * w1 + 2.0 * w2)
+
+        def spots(count):
+            return rng.integers(0, size, count)
+
+        if "tiny" in specials:  # jets whose squares underflow beside normal ones
+            at = spots(size // 8 + 1)
+            tiny = 10.0 ** -rng.uniform(60.0, 100.0, at.size)
+            x[at], y[at] = tiny * x[at], tiny * tiny * y[at]
+        if "repeats" in specials:
+            to, fro = spots(10), spots(10)
+            x[to], y[to] = x[fro], y[fro]
+        if "extremals" in specials:
+            # (w1, w2) = (1, 0), (0, 1), (-1, 0), (0, -1): two exact ties per mu
+            at = spots(4)
+            x[at], y[at] = [2.0 * sx, 0.0, -2.0 * sx, 0.0], [2.0 * sy, 2.0 * sy, 2.0 * sy, -2.0 * sy]
+        if "zeros" in specials:
+            at = spots(3)
+            x[at], y[at] = 0.0, 0.0
+        if "nan" in specials:
+            x[spots(1)] = complex(math.nan, 0.0)
+            y[spots(1)] = complex(0.0, math.nan)
+        if "inf" in specials:
+            y[spots(1)] = math.inf
+        return x, y
+
+    @settings(max_examples=100, deadline=None)
+    # a lone candidate of one mu (see the next test), and squares in the
+    # subnormal range
+    @example(seed=1, block=64, mu_count=1, scales=(1e75, 1e150), specials=set())
+    @example(seed=0, block=64, mu_count=1, scales=(1e-161, 1e-161), specials=set())
+    # |x^2|^2 subnormal, its rounding times mu^2 far above the relative slack,
+    # and |x^2| just above the smallest that takes the prefilter
+    @example(seed=0, block=64, mu_count=CHUNK + 1, scales=(1e-81, 1e-81), specials={"big_mu"})
+    @example(seed=0, block=64, mu_count=CHUNK + 1, scales=(3e-68, 1e-68), specials={"big_mu"})
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 7, 64, oracle.BLOCK]),
+        mu_count=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 100]),
+        # 1e150 overflows the squares, 1e-170 underflows them, 1e-161 makes
+        # them subnormal, 1e-81 makes |x^2|^2 subnormal while mu^2 |x^2|^2 is
+        # normal (all four take the plain path), 3e-68 puts |x^2| near the
+        # smallest the prefilter takes, (1e75, 1e150) keeps the squares just
+        # below overflow, and in (4e76, 2e153) they are finite but Q need not be
+        scales=st.sampled_from(
+            [
+                (1.0, 1.0),
+                (1e150, 1e150),
+                (1e-170, 1e-170),
+                (1e-161, 1e-161),
+                (1e-81, 1e-81),
+                (3e-81, 1e-81),
+                (3e-68, 1e-68),
+                (1e-80, 1e-160),
+                (1e75, 1e150),
+                (4e76, 2e153),
+                (1e77, 1.0),
+                (1e-170, 1.0),
+            ]
+        ),
+        specials=st.sets(st.sampled_from(SPECIALS)),
+    )
+    def test_equals_the_plain_argmax(self, seed, block, mu_count, scales, specials):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, {1: 40, 7: 60, 64: 300}.get(block, 2 * block)))
+        x, y = self._data(rng, size, specials, scales)
+        pool = [0.0, 0.25, 0.5, -1.0, 3.0, 1e10, -1e-300] + ([1e160] if "huge_mu" in specials else [])
+        mus = [float(rng.choice(pool)) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0) for _ in range(mu_count)]
+        if "big_mu" in specials:  # |mu| from 1e20 to 1e150, where mu^2 scales the underflow of |x^2|^2
+            mus = [m * 10.0 ** rng.uniform(20.0, 150.0) if rng.random() < 0.5 else m for m in mus]
+        blocks = [(start, x[start : start + block], y[start : start + block]) for start in range(0, size, block)]
+        with np.errstate(all="ignore"):  # the NaN, inf and huge cases warn in both
+            got = oracle._sweep_argmax(iter(blocks), mus)
+            expected = oracle._argmax(iter(blocks), [oracle._fs_functional(mu) for mu in mus])
+        assert self._hex(got) == self._hex(expected)
+
+    @pytest.mark.parametrize("phi", [KOEBE, MaMindaTarget((0.7, -0.3)), MaMindaTarget((1e-170, 0.0))])
+    def test_gathered_functional_equals_the_full_block(self, phi):
+        # The prefilter evaluates _fs_functional on gathered jets with an array
+        # of mu.  Its records are bit-identical to the per-mu ones only if numpy
+        # gives every element the bits it gives in the whole block with a
+        # scalar mu.  A platform where that fails must fail here, loudly,
+        # rather than change sweep records.  Lengths start at 2: on one
+        # element numpy's in-place complex multiply takes an unfused loop, so
+        # the prefilter never evaluates a lone jet.
+        rng = np.random.default_rng(2024)
+        for kind in ("starlike", "convex"):
+            for _, x, y in oracle._member_blocks(Kernel.of(kind, PQ), phi, OracleConfig()):
+                mus = [-2.0 + 0.25 * j for j in range(21)] + rng.uniform(-3.0, 3.0, 3).tolist()
+                full = np.stack([oracle._fs_functional(mu)(x, y) for mu in mus])
+                for _ in range(14):
+                    length = int(rng.integers(2, 20 if rng.random() < 0.5 else 3000))
+                    row = np.sort(rng.integers(0, len(mus), length))
+                    col = rng.integers(0, x.size, length)
+                    got = oracle._fs_functional(np.array(mus)[row])(x[col], y[col])
+                    assert got.tobytes() == full[row, col].tobytes(), (kind, length)
+
+    @pytest.mark.parametrize(
+        "kind, phi, params, mu_range, fallback",
+        [
+            ("starlike", MaMindaTarget((1e150, 0.0)), PQ, (-2.0, 3.0, 0.25), True),  # squares overflow
+            ("convex", MaMindaTarget((1e150, 0.0)), PQ, (-2.0, 3.0, 0.25), True),
+            ("starlike", MaMindaTarget((1e-170, 0.0)), PQ, (-2.0, 3.0, 0.25), True),  # squares underflow
+            # |a2^2|^2 subnormal, and mu^2 times its rounding above every relative slack
+            ("starlike", MaMindaTarget((3e-81, 0.0)), PQ, (1e100, 1.1e100, 1e98), True),
+            ("convex", MaMindaTarget((3e-81, 0.0)), PQ, (1e100, 1.1e100, 1e98), True),
+            # |a2^2| just above the smallest the prefilter takes
+            ("starlike", MaMindaTarget((3e-68, 0.0)), PQ, (1e100, 1.1e100, 1e98), False),
+            ("convex", MaMindaTarget((3e-68, 0.0)), PQ, (1e100, 1.1e100, 1e98), False),
+            ("convex", MaMindaTarget((0.7, -0.3)), PQ, (-2.0, 3.0, 0.25), False),
+            # at mu = 1 the quadratic cancels and every jet survives: that chunk is evaluated whole
+            ("convex", KOEBE, PQParams(1.0, 1e-10), (-2.0, 3.0, 0.25), True),
+        ],
+    )
+    def test_records_equal_verify_fs_at_extreme_targets(self, monkeypatch, kind, phi, params, mu_range, fallback):
+        cfg = OracleConfig()
+        blocks_in_fallback = []
+        plain = oracle._argmax
+        monkeypatch.setattr(oracle, "_argmax", lambda b, f: blocks_in_fallback.append(1) or plain(b, f))
+        entries = sweep(kind, mu_range, phi, params, cfg)
+        monkeypatch.undo()
+        assert bool(blocks_in_fallback) == fallback
+        # at (1e150, 0) some rows read FAIL: passed has an absolute tolerance
+        for e in entries:
+            single = verify_fs(kind, e.mu, phi, params, cfg)
+            got = (e.record.empirical_max.hex(), e.record.witness, e.record.status)
+            assert got == (single.empirical_max.hex(), single.witness, single.status), e.mu
+
+    def test_only_the_chunks_with_a_huge_mu_take_the_plain_path(self, monkeypatch):
+        # mu^2 overflows for the second chunk of mu only; the first still goes
+        # through the prefilter, and both give the plain bits.  Full blocks
+        # only: a shorter one takes all 2 CHUNK mu in one chunk.
+        members = oracle._member_blocks(Kernel.of("starlike", PQ), KOEBE, OracleConfig())
+        blocks = [b for b in members if b[1].size == oracle.BLOCK]
+        mus = [0.25 * j for j in range(self.CHUNK)] + [1e160] * self.CHUNK
+        plain = oracle._argmax
+        expected = plain(iter(blocks), [oracle._fs_functional(mu) for mu in mus])
+        calls = []
+        monkeypatch.setattr(oracle, "_argmax", lambda b, f: calls.append(len(f)) or plain(b, f))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = oracle._sweep_argmax(iter(blocks), mus)
+        assert self._hex(got) == self._hex(expected)
+        assert blocks and calls == [self.CHUNK] * len(blocks)
+
+    def test_thousand_mu_allocate_a_few_blocks(self):
+        # Q over all 1,000 mu of a block of BLOCK jets would be 61 MiB
+        blocks = list(oracle._member_blocks(Kernel.of("starlike", PQ), KOEBE, OracleConfig()))
+        mus = np.linspace(-2.0, 3.0, 1000).tolist()
+        oracle._sweep_argmax(iter(blocks), mus)
+        tracemalloc.start()
+        try:
+            oracle._sweep_argmax(iter(blocks), mus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 2 * 2**20
