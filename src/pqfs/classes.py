@@ -405,77 +405,16 @@ def subordination_residual(
     return max(abs(quotient.coeffs[k] - expected.coeffs[k]) for k in range(3))
 
 
-#: Entries of the rotation table of ``unit_turns``: a power of two, so that
-#: u * TURN_STEPS and its split into whole and fractional steps are exact.
-TURN_STEPS = 256
-
-
-def _turn_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # one libm cosine and sine per angle of the first quadrant (angle < pi/2,
-    # so 2 pi k / n rounds by at most 1.1e-16); the other quadrants are the
-    # exact quarter turns (c, s) -> (-s, c) of it
-    angles = [2.0 * math.pi * k / n for k in range(n // 4)]
-    c = np.array([math.cos(t) for t in angles])
-    s = np.array([math.sin(t) for t in angles])
-    return np.concatenate([c, -s, -c, s]), np.concatenate([s, c, -s, -c])
-
-
-_TURN_COS, _TURN_SIN = _turn_table(TURN_STEPS)
-
-
-def _horner(z: np.ndarray, coefficients: tuple[float, ...]) -> np.ndarray:
-    # the polynomial in z with these coefficients, highest power first, in one new array
-    p = np.full_like(z, coefficients[0])
-    for c in coefficients[1:]:
-        p *= z
-        p += c
-    return p
-
-
-def unit_turns(u: np.ndarray) -> np.ndarray:
-    """e^(2 pi i u) for an array of turn fractions u, finite and |u| < 2**55.
-
-    u N = k + f, k = floor(u N), is split exactly (N = ``TURN_STEPS``), and
-    the rotation is the table entry e^(2 pi i k / N) turned by e^(i x),
-    x = 2 pi f / N in [0, 2 pi / N).  Its cosine (through z^4, z = x^2) and
-    sine (through x^7) are Taylor series whose first omitted terms are
-    below 1e-17 there.  Every component is within 1e-15 of the true one and
-    the modulus within 4.5e-16 of 1.  Only real ufuncs are used, so the
-    bytes do not depend on the platform's complex ``exp`` or on fused
-    multiply-adds.  The work is done in place in five arrays of the size of
-    u besides the result: glibc returns a freed heap top to the system, and
-    every fresh page the next call touches costs a page fault.
-    """
-    x = np.multiply(u, TURN_STEPS)
-    k = np.floor(x)
-    x -= k
-    k = k.astype(np.intp)
-    k &= TURN_STEPS - 1  # two's complement: k mod N for a negative k too
-    x *= 2.0 * math.pi / TURN_STEPS
-    z = x * x
-    cos = _horner(z, (1 / 40320, -1 / 720, 1 / 24, -1 / 2, 1.0))
-    sin = _horner(z, (-1 / 5040, 1 / 120, -1 / 6, 1.0))
-    sin *= x
-    tc, ts = _TURN_COS.take(k, out=z), _TURN_SIN.take(k, out=x)
-    out = np.empty(x.shape, complex)
-    re, im = out.real, out.imag
-    np.multiply(tc, cos, out=re)
-    re -= np.multiply(ts, sin, out=im)
-    np.multiply(ts, cos, out=im)
-    im += np.multiply(tc, sin, out=cos)
-    return out
-
-
 def schwarz_jets_from_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w1, w2) arrays from an (n, 4) array of uniform variates in [0, 1).
 
     Row (u0, u1, u2, u3) gives w1 = sqrt(u0) e^(2 pi i u1), uniform on the
     closed unit disc, and w2 = sqrt(u2) (1 - |w1|^2) e^(2 pi i u3), uniform
-    on the disc of radius 1 - |w1|^2; the rotations are ``unit_turns``,
-    scaled in place.  The oracle's random draws and ``sample_schwarz_jet``
-    both go through this one formula.  Rows of another shape, or with a
-    variate that is not finite or not in [0, 1), are a domain error (one
-    min and one max over the rows, which a NaN fails too).
+    on the disc of radius 1 - |w1|^2.  The oracle's opt-in random jets and
+    ``sample_schwarz_jet`` both go through this one formula.  Rows of
+    another shape, or with a variate that is not finite or not in [0, 1),
+    are a domain error (one min and one max over the rows, which a NaN
+    fails too).
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 4:
@@ -484,17 +423,10 @@ def schwarz_jets_from_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(
             f"rows must be uniform variates in [0, 1), got values in [{rows.min()!r}, {rows.max()!r}]"
         )
-    # in place, like unit_turns: r2 reuses r1, and no complex product is formed
     r1 = np.sqrt(rows[:, 0])
-    w1 = unit_turns(rows[:, 1])
-    w1.real *= r1
-    w1.imag *= r1
-    r2 = np.multiply(r1, r1, out=r1)
-    np.subtract(1.0, r2, out=r2)
-    r2 *= np.sqrt(rows[:, 2])
-    w2 = unit_turns(rows[:, 3])
-    w2.real *= r2
-    w2.imag *= r2
+    w1 = r1 * np.exp(2j * np.pi * rows[:, 1])
+    r2 = np.sqrt(rows[:, 2]) * (1.0 - r1 * r1)
+    w2 = r2 * np.exp(2j * np.pi * rows[:, 3])
     return w1, w2
 
 

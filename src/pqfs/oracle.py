@@ -1,27 +1,29 @@
 """Brute-force verification of the bounds over the Caratheodory body.
 
 Nothing here trusts the closed forms: the oracle samples the feasible
-second-order Schwarz body (a grid on its rim |w2| = 1 - |w1|^2 plus
-seeded random draws plus the forced extremal jets), pushes every sample
-through the member-jet formulas, and maximizes the functional directly.
-A sound implementation never sees the empirical maximum exceed the
-theoretical bound.  Every functional has its maximum on the rim, and the
-grid holds the extremal jets pulled inside by the factor ``INSET``, so the
-grid alone attains the sharp bounds to about 1e-12 (relative); the forced
-extremal jets attain them to the last bit.
+second-order Schwarz body, pushes every sample through the member-jet
+formulas, and maximizes the functional directly.  A sound implementation
+never sees the empirical maximum exceed the theoretical bound.  Every
+functional has its maximum on the rim |w2| = 1 - |w1|^2, and the sample
+set is a grid on that rim followed by the forced extremal jets (1, 0),
+(0, 1) and their negatives.  The grid holds the extremal jets pulled
+inside by the factor ``INSET``, so it alone attains the sharp bounds to
+about 1e-12 (relative); the forced extremal jets attain them to the last
+bit.  Seeded random interior jets, between the grid and the extremal
+jets, are an opt-in check of the rim argument itself
+(``OracleConfig.random_samples``, 0 by default).
 
-The sample set is two cached parts: the grid, which depends on the grid
-density alone and is shared by every seed and budget (its jets and
-their Caratheodory data c1, c2, for the last density used), and the
-per-seed tail of random and extremal jets (for the last config used).  Every functional
-is evaluated block by block over slices of at most ``BLOCK`` jets of one
-part, and a sweep evaluates all its mu on each block in one pass, so no
-check allocates an array as long as the sample set.  A sweep evaluates
-|a3 - mu a2^2| only on the jets that can still attain a block's maximum:
-a quadratic in mu with a proven slack selects them, and the records are
-bit-identical to those of one check per mu (``_sweep_argmax``) where numpy
-rounds a gathered jet as it does in the whole block, which
-``test_gathered_functional_equals_the_full_block`` checks.
+The sample set is one cached, read-only set of arrays (its jets and their
+Caratheodory data c1, c2, for the last config used; without random jets
+it does not depend on the seed).  Every functional is evaluated block by
+block over views of at most ``BLOCK`` jets, and a sweep evaluates all its
+mu on each block in one pass, so no check allocates an array as long as
+the sample set.  A sweep evaluates |a3 - mu a2^2| only on the jets that
+can still attain a block's maximum: a quadratic in mu with a proven slack
+selects them, and the records are bit-identical to those of one check per
+mu (``_sweep_argmax``) where numpy rounds a gathered jet as it does in
+the whole block, which ``test_gathered_functional_equals_the_full_block``
+checks.
 
 Sampling is deterministic for a fixed seed.  Record merging in sweeps is
 sequential and ordered by mu, so results are reproducible run to run.
@@ -33,7 +35,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,14 +73,15 @@ class OracleConfig:
 
     The grid places ``grid_density`` radii |w1| and ``grid_density`` - 1
     angles for each of arg w1 and arg w2 on the rim of the body (cost
-    grows as the cube), the random draws are prefix-stable in
-    ``random_samples`` for a fixed seed, and ``include_extremals`` forces
-    in the jets (1, 0), (0, 1) and their negatives, which attain the sharp
-    bounds exactly.
+    grows as the cube).  ``random_samples`` adds that many seeded random
+    jets of the body, an opt-in check that the rim suffices; they are
+    prefix-stable in the count for a fixed seed, and the seed matters only
+    when there are some.  ``include_extremals`` forces in the jets (1, 0),
+    (0, 1) and their negatives, which attain the sharp bounds exactly.
     """
 
     grid_density: int = 24
-    random_samples: int = 10_000
+    random_samples: int = 0
     include_extremals: bool = True
     tolerance: float = 1e-9
     seed: int = DEFAULT_SEED
@@ -161,15 +164,6 @@ def _caratheodory(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return 2.0 * w1, 2.0 * w1 * w1 + 2.0 * w2
 
 
-class _Grid(NamedTuple):
-    """The grid part of the sample set: its jets and their Caratheodory data."""
-
-    w1: np.ndarray
-    w2: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-
-
 #: Factor by which every grid jet is pulled inside the body.  On the rim
 #: itself the functionals round a few ulps above their closed forms; the
 #: inset keeps the grid's maximum about 1e-12 (relative) below them.
@@ -183,9 +177,8 @@ def _polar(modulus: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=1)
-def _grid(grid_density: int) -> _Grid:
-    """The grid part of the sample set, shared by every seed and budget.
+def _grid(grid_density: int) -> tuple[np.ndarray, np.ndarray]:
+    """(w1, w2) of the grid that opens the sample set.
 
     Every functional the oracle maximizes is |affine in w2| plus a term in
     w1 alone, so for fixed w1 its maximum lies on the rim |w2| = 1 - |w1|^2.
@@ -194,8 +187,7 @@ def _grid(grid_density: int) -> _Grid:
     arg w2, radius first: (n - 2)(n - 1)^2 + 2(n - 1) jets, because w1 = 0
     keeps one arg w1 and w2 = 0 (at |w1| = 1) keeps one arg w2.  Each jet
     is scaled by ``INSET``.  The grid at density n is a subset of the one
-    at 2n - 1.  Only the last density is kept (11,684 jets, 0.75 MB at 24;
-    101,708 jets, 6.5 MB at 48).
+    at 2n - 1; it has 11,684 jets at 24 and 101,708 at 48.
     """
     n = grid_density
     # one libm cosine and sine per angle: numpy's vectorized ones differ by
@@ -209,73 +201,51 @@ def _grid(grid_density: int) -> _Grid:
     r, j, k = r[keep], j[keep], k[keep]
     w1 = _polar((INSET * radius)[r], cos[j], sin[j])
     w2 = _polar((INSET * (1.0 - radius * radius))[r], cos[k], sin[k])
-    grid = _Grid(w1, w2, *_caratheodory(w1, w2))
-    for a in grid:
-        a.setflags(write=False)
-    return grid
+    return w1, w2
 
 
 @lru_cache(maxsize=1)
 def _sample_jets(
-    random_samples: int, include_extremals: bool, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(w1, w2) of the per-seed tail that follows the grid in the sample set.
+    grid_density: int, random_samples: int, include_extremals: bool, seed: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(w1, w2, c1, c2) of the whole sample set, read-only.
 
-    Random part: rows of four seeded uniform variates through
-    ``schwarz_jets_from_rows`` (w1 uniform on the disc, then w2 uniform on
-    the disc of radius 1 - |w1|^2), drawn row-wise so that a larger budget
-    extends a smaller one.  The rows are drawn ``BLOCK`` at a time into the
-    kept arrays, which gives the bytes of one draw of all rows without its
-    set-sized temporaries; the rotations of a block are ``unit_turns``,
-    none of whose temporaries is larger than the block's complex jets.
-    Extremal jets (1, 0) and (0, 1) and their
-    negatives come last when requested.  Only the last tail is kept.
+    The set is the grid (``_grid``), then ``random_samples`` random jets,
+    then the extremal jets (1, 0), (0, 1) and their negatives when
+    requested.  The random jets are one draw of rows of four seeded uniform
+    variates through ``schwarz_jets_from_rows`` (w1 uniform on the disc,
+    then w2 uniform on the disc of radius 1 - |w1|^2), so a larger budget
+    extends a smaller one.  Only the last set is kept (11,688 jets, 0.75 MB
+    by default; 6.5 MB for the grid alone at density 48).
     """
-    size = random_samples + (4 if include_extremals else 0)
-    w1, w2 = np.empty(size, complex), np.empty(size, complex)
-    rng = np.random.default_rng(seed)
-    for start in range(0, random_samples, BLOCK):
-        stop = min(start + BLOCK, random_samples)
-        w1[start:stop], w2[start:stop] = schwarz_jets_from_rows(rng.random((stop - start, 4)))
+    parts = [_grid(grid_density)]
+    if random_samples:
+        parts.append(schwarz_jets_from_rows(np.random.default_rng(seed).random((random_samples, 4))))
     if include_extremals:
-        w1[random_samples:] = [1.0, 0.0, -1.0, 0.0]
-        w2[random_samples:] = [0.0, 1.0, 0.0, -1.0]
-    w1.setflags(write=False)
-    w2.setflags(write=False)
-    return w1, w2
-
-
-def _tail(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
-    return _sample_jets(cfg.random_samples, cfg.include_extremals, cfg.seed)
+        parts.append((np.array([1.0, 0.0, -1.0, 0.0], complex), np.array([0.0, 1.0, 0.0, -1.0], complex)))
+    w1, w2 = (np.concatenate(w) for w in zip(*parts))
+    jets = (w1, w2, *_caratheodory(w1, w2))
+    for a in jets:
+        a.setflags(write=False)
+    return jets
 
 
 def _caratheodory_samples(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(w1, w2, c1, c2) over the whole sample set at once, grid then tail.
-    The checks below never call this: they go through
-    ``_caratheodory_blocks``."""
-    grid, (tw1, tw2) = _grid(cfg.grid_density), _tail(cfg)
-    tc1, tc2 = _caratheodory(tw1, tw2)
-    return (
-        np.concatenate([grid.w1, tw1]),
-        np.concatenate([grid.w2, tw2]),
-        np.concatenate([grid.c1, tc1]),
-        np.concatenate([grid.c2, tc2]),
-    )
+    """(w1, w2, c1, c2) of the sample set of ``cfg``.  The seed only
+    matters with random jets, so without them every seed shares one set."""
+    seed = cfg.seed if cfg.random_samples else None
+    return _sample_jets(cfg.grid_density, cfg.random_samples, cfg.include_extremals, seed)
 
 
 Blocks = Iterator[tuple[int, np.ndarray, np.ndarray]]
 
 
 def _caratheodory_blocks(cfg: OracleConfig) -> Blocks:
-    """(start, c1, c2) for slices of at most ``BLOCK`` sampled jets: views
-    of the cached grid, then the tail, whose c1 and c2 are computed per
-    block.  ``start`` is the index of the block's first jet in the set."""
-    grid, (w1, w2) = _grid(cfg.grid_density), _tail(cfg)
-    size = grid.c1.size
-    for start in range(0, size, BLOCK):
-        yield start, grid.c1[start : start + BLOCK], grid.c2[start : start + BLOCK]
-    for start in range(0, w1.size, BLOCK):
-        yield size + start, *_caratheodory(w1[start : start + BLOCK], w2[start : start + BLOCK])
+    """(start, c1, c2) for views of at most ``BLOCK`` jets of the cached
+    sample set; ``start`` is the index of the block's first jet in it."""
+    _, _, c1, c2 = _caratheodory_samples(cfg)
+    for start in range(0, c1.size, BLOCK):
+        yield start, c1[start : start + BLOCK], c2[start : start + BLOCK]
 
 
 def _member_blocks(k: Kernel, phi: MaMindaTarget, cfg: OracleConfig) -> Blocks:
@@ -394,8 +364,9 @@ def _sweep_argmax(blocks: Blocks, mus: Sequence[float]) -> list[tuple[float, int
     ``test_gathered_functional_equals_the_full_block`` checks (numpy 2.4.6
     on an AVX-512 x86_64 host).  It does for two elements and more, but
     its in-place complex multiply takes an unfused loop on a single
-    element.  So a block of one jet goes through ``_argmax`` too, and a
-    lone survivor is evaluated as a pair.
+    element.  So a block of one jet (the last block of a set whose size is
+    1 mod ``BLOCK``, which random jets can give) goes through ``_argmax``
+    too, and a lone survivor is evaluated as a pair.
     """
     mu = np.array(mus, float)
     with np.errstate(over="ignore"):
@@ -454,16 +425,12 @@ def _record(
     cfg: OracleConfig,
 ) -> VerificationRecord:
     empirical, i = best
-    grid = _grid(cfg.grid_density)
-    if i < grid.w1.size:
-        w1, w2 = grid.w1[i], grid.w2[i]
-    else:
-        w1, w2 = (w[i - grid.w1.size] for w in _tail(cfg))
+    w1, w2, _, _ = _caratheodory_samples(cfg)
     return VerificationRecord(
         mu=mu,
         theoretical=theoretical,
         empirical_max=empirical,
-        witness=SchwarzJet(complex(w1), complex(w2)),
+        witness=SchwarzJet(complex(w1[i]), complex(w2[i])),
         branch=branch,
         tolerance=cfg.tolerance,
     )
@@ -561,9 +528,9 @@ def sweep(
     blocks serves every mu.  Per block, |a3 - mu a2^2|^2 is a quadratic in
     mu, and the exact functional runs only on the jets whose quadratic
     comes within a proven rounding slack of the block's largest
-    (``_sweep_argmax``): 640 to 1,700 of the 455,448 (mu, jet) pairs of 21
-    mu at the default budget.  Each record is bit-identical to the one
-    ``verify_fs`` returns for that mu wherever
+    (``_sweep_argmax``): 84 to 612 of the 245,448 (mu, jet) pairs of 21 mu
+    over the default set of 11,688 jets.  Each record is bit-identical to
+    the one ``verify_fs`` returns for that mu wherever
     ``test_gathered_functional_equals_the_full_block`` passes, that is
     where numpy gives a jet gathered from a block the bits it gives it in
     the whole block (checked with numpy 2.4.6 on an AVX-512 x86_64 host).

@@ -1,13 +1,11 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pqfs.classes import (
-    TURN_STEPS,
     CaratheodoryJet,
     Kernel,
     MaMindaTarget,
@@ -20,7 +18,6 @@ from pqfs.classes import (
     schwarz_jets_from_rows,
     starlike_member,
     subordination_residual,
-    unit_turns,
 )
 from pqfs.pq_core import DomainError, PQParams
 
@@ -285,47 +282,6 @@ class TestThresholdsBitForBit:
             assert isinstance(bits, list) and bits[2] == "0x0.0p+0"
         else:
             assert refusal in bits
-
-
-def _turn_errors(u: np.ndarray) -> tuple[float, float]:
-    """(largest component error against e^(2 pi i u), largest | |e| - 1 |)
-    of ``unit_turns``, both in 50-digit arithmetic."""
-    e = unit_turns(u)
-    with mpmath.workdps(50):
-        component = modulus = mpmath.mpf(0)
-        for t, z in zip(u.tolist(), e.tolist()):
-            exact = mpmath.expjpi(2 * mpmath.mpf(t))
-            re, im = mpmath.mpf(z.real), mpmath.mpf(z.imag)
-            component = max(component, abs(re - exact.real), abs(im - exact.imag))
-            modulus = max(modulus, abs(mpmath.sqrt(re * re + im * im) - 1))
-        return float(component), float(modulus)
-
-
-class TestUnitTurns:
-    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50))
-    @settings(max_examples=200, deadline=None)
-    def test_within_an_ulp_of_the_true_rotation(self, us):
-        component, modulus = _turn_errors(np.array(us))
-        assert component <= 1e-15
-        assert modulus <= 4.5e-16
-
-    def test_table_edges_and_the_floats_just_below(self):
-        edges = np.arange(TURN_STEPS) / TURN_STEPS
-        below = np.nextafter(np.arange(1, TURN_STEPS + 1) / TURN_STEPS, 0.0)
-        component, modulus = _turn_errors(np.concatenate([edges, below]))
-        assert component <= 1e-15
-        assert modulus <= 4.5e-16
-
-    def test_quarter_turns_are_exact(self):
-        e = unit_turns(np.array([0.0, 0.25, 0.5, 0.75]))
-        assert e.tolist() == [1, 1j, -1, -1j]
-
-    def test_period_one_beyond_the_unit_interval(self):
-        # the table index is taken mod TURN_STEPS, also for negative u
-        u = np.random.default_rng(4).random(200)
-        for shift in (-3.0, -1.0, 2.0):
-            component, _ = _turn_errors(u + shift)
-            assert component <= 1e-15
 
 
 class TestJetsFromRows:

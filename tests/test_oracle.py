@@ -38,6 +38,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = OracleConfig()
         assert cfg.grid_density == 24 and cfg.include_extremals
+        assert cfg.random_samples == 0  # random jets are opt-in
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -328,36 +329,39 @@ def _rim_jets(grid_density):
 @pytest.mark.parametrize("grid_density", [8, 9, 12, 16, 24, 25])
 def test_grid_is_byte_equal_to_loop_build(grid_density):
     n = grid_density
-    grid = oracle._grid.__wrapped__(n)
+    w1, w2 = oracle._grid(n)
     r1, r2 = _rim_jets(n)
     assert r1.size == (n - 2) * (n - 1) ** 2 + 2 * (n - 1)
-    assert grid.w1.dtype == grid.w2.dtype == grid.c1.dtype == grid.c2.dtype == r1.dtype
-    assert grid.w1.tobytes() == r1.tobytes()
-    assert grid.w2.tobytes() == r2.tobytes()
-    assert grid.c1.tobytes() == (2.0 * r1).tobytes()
-    assert grid.c2.tobytes() == (2.0 * r1 * r1 + 2.0 * r2).tobytes()
+    assert w1.dtype == w2.dtype == r1.dtype
+    assert w1.tobytes() == r1.tobytes()
+    assert w2.tobytes() == r2.tobytes()
+    cfg = OracleConfig(grid_density=n, random_samples=0, include_extremals=False)
+    _, _, c1, c2 = oracle._caratheodory_samples(cfg)
+    assert c1.dtype == c2.dtype == r1.dtype
+    assert c1.tobytes() == (2.0 * r1).tobytes()
+    assert c2.tobytes() == (2.0 * r1 * r1 + 2.0 * r2).tobytes()
 
 
 @pytest.mark.parametrize("grid_density", [8, 12, 24])
 def test_grid_is_nested_in_the_grid_at_2n_minus_1(grid_density):
-    small = oracle._grid.__wrapped__(grid_density)
-    large = oracle._grid.__wrapped__(2 * grid_density - 1)
-    jets = set(zip(large.w1.tolist(), large.w2.tolist()))
-    assert all(jet in jets for jet in zip(small.w1.tolist(), small.w2.tolist()))
+    small = oracle._grid(grid_density)
+    large = oracle._grid(2 * grid_density - 1)
+    jets = set(zip(*(w.tolist() for w in large)))
+    assert all(jet in jets for jet in zip(*(w.tolist() for w in small)))
 
 
 @pytest.mark.parametrize("grid_density", [8, 9, 24, MAX_GRID_DENSITY])
 def test_every_grid_jet_is_strictly_feasible(grid_density):
     # on the rim itself the functionals round a few ulps above the bounds
-    grid = oracle._grid.__wrapped__(grid_density)
-    r1 = np.abs(grid.w1)
+    w1, w2 = oracle._grid(grid_density)
+    r1 = np.abs(w1)
     assert (r1 < 1.0).all()
-    assert (np.abs(grid.w2) < 1.0 - r1 * r1).all()
+    assert (np.abs(w2) < 1.0 - r1 * r1).all()
 
 
 @pytest.mark.parametrize("grid_density", [8, 9, 12])
 def test_record_witness_is_the_loop_built_jet_at_every_index(grid_density):
-    # past the grid come the extremal jets of the tail
+    # past the grid come the extremal jets
     cfg = OracleConfig(grid_density=grid_density, random_samples=0)
     r1, r2 = _rim_jets(grid_density)
     witnesses = [oracle._record(0.0, 0.0, (0.0, i), "max", cfg).witness for i in range(r1.size + 4)]
@@ -370,34 +374,42 @@ def test_record_witness_is_the_loop_built_jet_at_every_index(grid_density):
 @pytest.mark.parametrize("random_samples", [0, 1, 7999, 8000, 16_003])
 @pytest.mark.parametrize("include_extremals", [False, True])
 def test_tail_is_byte_equal_to_one_draw(monkeypatch, block, random_samples, include_extremals):
-    # the tail is drawn BLOCK rows at a time; the generator's stream is the same
+    # the set is the grid, then one draw of random rows, then the extremal
+    # jets; its blocks are views of it, whatever BLOCK is
     if block:
         monkeypatch.setattr(oracle, "BLOCK", block)
-    w1, w2 = oracle._sample_jets.__wrapped__(random_samples, include_extremals, 11)
-    r1, r2 = schwarz_jets_from_rows(np.random.default_rng(11).random((random_samples, 4)))
-    if include_extremals:
-        r1 = np.concatenate([r1, [1.0, 0.0, -1.0, 0.0]])
-        r2 = np.concatenate([r2, [0.0, 1.0, 0.0, -1.0]])
-    assert w1.dtype == w2.dtype == r1.dtype == r2.dtype
+    cfg = OracleConfig(grid_density=8, random_samples=random_samples, include_extremals=include_extremals, seed=11)
+    w1, w2, c1, c2 = oracle._caratheodory_samples(cfg)
+    g1, g2 = _rim_jets(8)
+    d1, d2 = schwarz_jets_from_rows(np.random.default_rng(11).random((random_samples, 4)))
+    e1, e2 = ([1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]) if include_extremals else ([], [])
+    r1, r2 = np.concatenate([g1, d1, e1]), np.concatenate([g2, d2, e2])
+    assert w1.dtype == w2.dtype == c1.dtype == c2.dtype == r1.dtype == r2.dtype
     assert w1.tobytes() == r1.tobytes()
     assert w2.tobytes() == r2.tobytes()
+    assert c1.tobytes() == (2.0 * r1).tobytes()
+    assert c2.tobytes() == (2.0 * r1 * r1 + 2.0 * r2).tobytes()
+    assert not any(a.flags.writeable for a in (w1, w2, c1, c2))
+    starts, b1, b2 = zip(*oracle._caratheodory_blocks(cfg))
+    assert list(starts) == list(range(0, r1.size, oracle.BLOCK))
+    assert np.concatenate(b1).tobytes() == c1.tobytes() and np.concatenate(b2).tobytes() == c2.tobytes()
 
 
 def test_seeds_share_one_grid():
-    oracle._grid.cache_clear()
-    for seed in (1, 2):
-        verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig(grid_density=10, random_samples=50, seed=seed))
-    info = oracle._grid.cache_info()
-    assert info.misses == info.currsize == 1
+    # without random jets the seed picks nothing: a new seed is a cache hit
+    # on the whole set, grid and extremal jets
+    first = oracle._caratheodory_samples(OracleConfig(seed=1))
+    assert oracle._caratheodory_samples(OracleConfig(seed=2)) is first
+    records = [verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig(seed=seed)) for seed in (1, 2)]
+    assert records[0] == records[1]
 
 
 def test_caches_keep_one_entry():
-    # one density and one seed at a time is all any caller reuses; four
-    # density-48 grids alone would hold 360 MiB
+    # one config at a time is all any caller reuses; four density-48 sets
+    # alone would hold 25 MiB
     for density, seed in ((16, 1), (24, 2), (12, 3)):
         cfg = OracleConfig(grid_density=density, random_samples=50, seed=seed)
         verify_fs("starlike", 0.5, KOEBE, PQ, cfg)
-    assert oracle._grid.cache_info().currsize == 1
     assert oracle._sample_jets.cache_info().currsize == 1
 
 
@@ -553,17 +565,17 @@ class TestBlockedReduction:
             tracemalloc.stop()
 
     def test_fresh_seed_allocates_only_its_tail(self):
-        # the grid is shared across seeds: a new seed draws 10,004 tail jets
-        # (0.3 MiB kept), while the grid's w1, w2, c1 and c2 are 0.7 MiB
-        verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig())
-        oracle._sample_jets.cache_clear()
+        # at the default budget a seed's tail is empty: a new seed reuses the
+        # cached set (0.7 MiB) and keeps no new array
+        first = oracle._caratheodory_samples(OracleConfig())
         tracemalloc.start()
         try:
             verify_fs("starlike", 0.5, KOEBE, PQ, OracleConfig(seed=DEFAULT_SEED + 1))
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept < 0.5 * 2**20
+        assert oracle._caratheodory_samples(OracleConfig(seed=DEFAULT_SEED + 2)) is first
+        assert kept < 64 * 2**10
         assert peak < 2 * 2**20
 
 
