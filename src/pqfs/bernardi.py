@@ -13,8 +13,9 @@ so they can be checked against each other.
 A member jet (a2, a3) maps to (L2 a2, L3 a3), the member jet of the class
 kernel rescaled by ``Kernel.scaled``, so every bound variant here is sharp
 over the image class for every c >= 0.  The paper's form, with the
-"effective integers" [2]L2, [3]L3 in the plain kernel, does not bound the
-image class; it is kept only behind ``printed_form``.
+"effective integers" [2]L2, [3]L3 in the plain formulas, does not bound
+the image class; it is kept only as ``classes.printed_thresholds`` of
+``effective_numbers`` and behind ``fs_piecewise_bernardi(printed_form=True)``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import BoundReport, _require_real, max_form_report, piecewise_report, refined_lhs
-from .classes import ClassKind, Kernel, MaMindaTarget, MemberJet, deformation_numbers
+from .classes import ClassKind, Kernel, MaMindaTarget, MemberJet, deformation_numbers, printed_thresholds
 from .oracle import OracleConfig, VerificationRecord, max_form_check
 from .pq_core import DomainError, PQParams, TruncatedSeries, pq_integral, pq_number
 
@@ -106,20 +107,15 @@ def _multipliers(bp: BernardiParams) -> tuple[float, float]:
     return bernardi_factor(2, bp), bernardi_factor(3, bp)
 
 
-def image_kernel(kind: ClassKind, bp: BernardiParams, printed_form: bool = False) -> Kernel:
-    """The kernel of the image class, whose member jets are (L2 a2, L3 a3).
-
-    ``printed_form`` gives instead the plain kernel of the paper's
-    effective integers ([2] L2, [3] L3), whose printed-form thresholds
-    are the paper's; it does not bound the image class."""
-    if printed_form:
-        return Kernel.from_numbers(kind, *effective_numbers(bp))
+def image_kernel(kind: ClassKind, bp: BernardiParams) -> Kernel:
+    """The kernel of the image class, whose member jets are (L2 a2, L3 a3)."""
     return Kernel.of(kind, bp.base).scaled(*_multipliers(bp))
 
 
 def effective_numbers(bp: BernardiParams) -> tuple[float, float]:
-    """([2] L2, [3] L3), the paper's effective integers of the
-    ``printed_form`` variants; refused when either is <= 1, as at c = 0."""
+    """([2] L2, [3] L3), the paper's effective integers, whose
+    ``classes.printed_thresholds`` are its printed Bernardi thresholds;
+    refused when either is <= 1, as at c = 0."""
     return _effective(bp, *deformation_numbers(bp.base))
 
 
@@ -136,12 +132,6 @@ def _effective(bp: BernardiParams, two: float, three: float) -> tuple[float, flo
     return two_eff, three_eff
 
 
-def bernardi_member(m: MemberJet, bp: BernardiParams) -> MemberJet:
-    """Jet of the transformed function: (a2, a3) -> (L2 a2, L3 a3)."""
-    L2, L3 = _multipliers(bp)
-    return MemberJet(L2 * m.a2, L3 * m.a3, m.kind)
-
-
 def fs_bound_bernardi(
     kind: ClassKind, mu: complex, phi: MaMindaTarget, bp: BernardiParams
 ) -> BoundReport:
@@ -151,11 +141,11 @@ def fs_bound_bernardi(
 
 
 def thresholds_bernardi(
-    kind: ClassKind, phi: MaMindaTarget, bp: BernardiParams, printed_form: bool = False
+    kind: ClassKind, phi: MaMindaTarget, bp: BernardiParams
 ) -> tuple[float, float, float]:
-    """Piecewise thresholds of the image class; ``printed_form`` gives the
-    paper's, those of the effective integers in the printed normalization."""
-    return image_kernel(kind, bp, printed_form).thresholds(phi, printed_form)
+    """Piecewise thresholds of the image class.  The paper's are
+    ``printed_thresholds(kind, *effective_numbers(bp), phi)``."""
+    return image_kernel(kind, bp).thresholds(phi)
 
 
 _PRINTED_BRANCHES = ("below_printed", "mid_printed", "above_printed")
@@ -167,17 +157,18 @@ def fs_piecewise_bernardi(
     """Piecewise bound of the image class; equals ``fs_bound_bernardi``.
 
     ``printed_form`` reproduces the paper's claim, whose thresholds are
-    those of ``thresholds_bernardi(..., printed_form=True)`` but whose
-    branch values are those of the plain integers; it is inconsistent with
-    the max-form bound and may even turn negative, in which case
-    constructing the report fails.
+    the ``printed_thresholds`` of the effective integers but whose branch
+    values are those of the plain integers; it is inconsistent with the
+    max-form bound and may even turn negative, in which case constructing
+    the report fails.
     """
     if not printed_form:
         return piecewise_report(image_kernel(kind, bp), mu, phi)
-    plain = Kernel.of(kind, bp.base)
-    k = Kernel.from_numbers(kind, *_effective(bp, plain.two, plain.three))
+    two, three = deformation_numbers(bp.base)
+    plain = Kernel.from_numbers(kind, two, three)
+    effective = _effective(bp, two, three)
     mu = _require_real(mu)
-    t = k.thresholds(phi, printed_form=True)
+    t = printed_thresholds(kind, *effective, phi)
     # the printed branch values are written through v(mu) of the plain integers
     branch, value = plain.select(mu, 1.0 - 2.0 * plain.v(mu, phi), phi, t)
     return BoundReport(value=value, branch=_PRINTED_BRANCHES[branch], mu=mu, thresholds=t)

@@ -104,12 +104,10 @@ def sigma_thresholds(phi: MaMindaTarget, params: PQParams) -> tuple[float, float
     return Kernel.of("starlike", params).thresholds(phi)
 
 
-def rho_thresholds(
-    phi: MaMindaTarget, params: PQParams, printed_form: bool = False
-) -> tuple[float, float, float]:
-    """Convex thresholds (rho1, rho2, rho3); see ``Kernel.thresholds`` for
-    the ``printed_form`` comparison variant."""
-    return Kernel.of("convex", params).thresholds(phi, printed_form)
+def rho_thresholds(phi: MaMindaTarget, params: PQParams) -> tuple[float, float, float]:
+    """Convex thresholds (rho1, rho2, rho3); see ``Kernel.thresholds``, and
+    ``classes.printed_thresholds`` for the printed comparison variant."""
+    return Kernel.of("convex", params).thresholds(phi)
 
 
 def _require_real(x: complex, name: str = "mu") -> float:

@@ -9,7 +9,8 @@ two coefficients of the Schwarz function that witnesses it, equivalently
 of the Caratheodory data (c1, c2).  This module builds those jets,
 checks them against the defining subordination by direct series algebra,
 and holds ``Kernel``, the one place the jet, bound and threshold formulas
-of a class kind are written.
+of a class kind are written, next to ``printed_thresholds``, the paper's
+printed threshold normalization.
 
 All types are immutable and every constructor is re-entrant.
 """
@@ -184,8 +185,6 @@ class Kernel(NamedTuple):
     """
 
     kind: ClassKind
-    two: float | None
-    three: float | None
     A: float
     B: float
     E: float
@@ -208,19 +207,14 @@ class Kernel(NamedTuple):
         else:
             raise DomainError(f"unknown class kind {kind!r}")
         # tuple.__new__ skips the generated __new__: a kernel is built on every call
-        return tuple.__new__(cls, (kind, two, three, A, two - 1.0, E))
+        return tuple.__new__(cls, (kind, A, two - 1.0, E))
 
     def scaled(self, L2: float, L3: float) -> "Kernel":
         """The kernel of the mapped jets (L2 a2, L3 a3): E/L2 and A/L3, B
-        unchanged, so K becomes K L2^2 / L3.  Unless both multipliers are 1,
-        which maps every jet to itself, ``two`` and ``three`` become None: the
-        mapped jets have no deformed integers of their own, so the printed
-        thresholds refuse a scaled kernel."""
+        unchanged, so K becomes K L2^2 / L3."""
         if not (0.0 < L2 < math.inf and 0.0 < L3 < math.inf):
             raise DomainError(f"kernel multipliers must be finite and > 0, got L2={L2!r}, L3={L3!r}")
-        if L2 == L3 == 1.0:
-            return self
-        return tuple.__new__(Kernel, (self.kind, None, None, self.A / L3, self.B, self.E / L2))
+        return tuple.__new__(Kernel, (self.kind, self.A / L3, self.B, self.E / L2))
 
     def member(self, c1, c2, phi: MaMindaTarget):
         """(a2, a3) of the member with Caratheodory data (c1, c2):
@@ -250,55 +244,15 @@ class Kernel(NamedTuple):
         """The sharp bound (|b1| / A) max(1, |arg|); mu may be complex."""
         return abs(phi.b1) / self.A * max(1.0, abs(self.arg(mu, phi)))
 
-    def thresholds(
-        self, phi: MaMindaTarget, printed_form: bool = False
-    ) -> tuple[float, float, float]:
+    def thresholds(self, phi: MaMindaTarget) -> tuple[float, float, float]:
         """(t1, t2, t3): the mu values where v(mu) crosses 0, 1 and 1/2.
 
         t1 and t2 bound the flat mid branch of the piecewise bound; t3 is
         where the refined inequality switches from its low form to its high
         form.  Ordering t1 <= t3 <= t2 holds whenever b1 > 0.
-
-        ``printed_form`` (convex kind only) swaps in the threshold
-        normalization that circulates in print, whose (b2 -+ b1) terms carry
-        ([2]^2 - 1)^2 instead of [2]^2 ([2]-1)^2.  It is kept for comparison
-        output; it does not agree with the max-form bound and is never used
-        by the piecewise branch logic.  A scaled kernel of either kind has no
-        deformed integers, and its ``printed_form`` is refused.
         """
-        b1, b2 = phi.b1, phi.b2
-        # the piecewise and refined results order real mu, which needs b1 > 0, b2 >= 0
-        if not (b1 > 0.0 and b2 >= 0.0):
-            raise DomainError(
-                f"piecewise thresholds need b1 > 0 and b2 >= 0, got b1={b1:g}, b2={b2:g}"
-            )
-        if printed_form and self.two is None:
-            raise DomainError(
-                "printed thresholds need the deformed integers, which a scaled kernel does not "
-                "keep; for the Bernardi image use image_kernel(..., printed_form=True)"
-            )
-        if printed_form and self.kind == "convex":
-            two, three = self.two, self.three
-            den = three * (three - 1.0) * b1 * b1
-            head = two * two * (two - 1.0) * b1 * b1
-            fac = (two * two - 1.0) ** 2
-            n1, n2, n3 = head + fac * (b2 - b1), head + fac * (b2 + b1), head + fac * b2
-        else:
-            # v(mu) crosses t at (b1^2 + B (b2 + (2t - 1) b1)) / (K b1^2), t = 0, 1, 1/2,
-            # where 2t - 1 is exactly -1, 1 and 0
-            den = self.K * b1 * b1
-            head, B = b1 * b1, self.B
-            n1, n2, n3 = head + B * (b2 - b1), head + B * (b2 + b1), head + B * b2
-        # b1 * b1 underflows to 0 for tiny targets and overflows for huge ones, and
-        # NaN thresholds send every mu to the last branch.  On sympy symbols
-        # den == 0.0 is False, and t - t is 0 exactly for finite t (inf and NaN
-        # give NaN): unlike math.isfinite it also accepts a symbolic kernel.
-        if den == 0.0:
-            raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: b1^2 underflows to 0")
-        t1, t2, t3 = n1 / den, n2 / den, n3 / den
-        if not (t1 - t1 == 0 and t2 - t2 == 0 and t3 - t3 == 0):
-            raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: got {(t1, t2, t3)!r}")
-        return t1, t2, t3
+        # v(mu) crosses t at (b1^2 + B (b2 + (2t - 1) b1)) / (K b1^2), t = 0, 1, 1/2
+        return _crossings(phi, self.K, 1.0, self.B)
 
     def select(
         self, mu: float, arg: float, phi: MaMindaTarget, t: tuple[float, float, float]
@@ -352,6 +306,49 @@ class Kernel(NamedTuple):
     def refined_functional(a2, a3, mu: float, penalty: float):
         """|a3 - mu a2^2| + penalty |a2|^2, capped by b1 / A inside its window."""
         return abs(a3 - mu * a2 * a2) + penalty * abs(a2) ** 2
+
+
+def _crossings(phi: MaMindaTarget, den: float, head: float, scale: float) -> tuple[float, float, float]:
+    """(head b1^2 + scale (b2 + (2t - 1) b1)) / (den b1^2) at t = 0, 1, 1/2,
+    where 2t - 1 is exactly -1, 1 and 0."""
+    b1, b2 = phi.b1, phi.b2
+    # the piecewise and refined results order real mu, which needs b1 > 0, b2 >= 0
+    if not (b1 > 0.0 and b2 >= 0.0):
+        raise DomainError(
+            f"piecewise thresholds need b1 > 0 and b2 >= 0, got b1={b1:g}, b2={b2:g}"
+        )
+    den = den * b1 * b1
+    head = head * b1 * b1
+    n1, n2, n3 = head + scale * (b2 - b1), head + scale * (b2 + b1), head + scale * b2
+    # b1 * b1 underflows to 0 for tiny targets and overflows for huge ones, and
+    # NaN thresholds send every mu to the last branch.  On sympy symbols
+    # den == 0.0 is False, and t - t is 0 exactly for finite t (inf and NaN
+    # give NaN): unlike math.isfinite it also accepts a symbolic kernel.
+    if den == 0.0:
+        raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: b1^2 underflows to 0")
+    t1, t2, t3 = n1 / den, n2 / den, n3 / den
+    if not (t1 - t1 == 0 and t2 - t2 == 0 and t3 - t3 == 0):
+        raise DomainError(f"thresholds are not finite for b1={b1:g}, b2={b2:g}: got {(t1, t2, t3)!r}")
+    return t1, t2, t3
+
+
+def printed_thresholds(
+    kind: ClassKind, two: float, three: float, phi: MaMindaTarget
+) -> tuple[float, float, float]:
+    """The thresholds as the paper prints them, for the deformed integers
+    ([2], [3]), or for the effective integers ([2] L2, [3] L3) of its
+    Bernardi variant (``bernardi.effective_numbers``).
+
+    The convex normalization that circulates in print has
+    den = [3]([3]-1) b1^2 and carries ([2]^2 - 1)^2 on the (b2 -+ b1)
+    terms, instead of [2]^2 ([2]-1)^2.  It is kept for comparison output;
+    it does not agree with the max-form bound and is never used by the
+    piecewise branch logic.  The printed starlike set is the plain one,
+    ``Kernel.from_numbers(kind, two, three).thresholds(phi)``.
+    """
+    if kind != "convex":
+        return Kernel.from_numbers(kind, two, three).thresholds(phi)
+    return _crossings(phi, three * (three - 1.0), two * two * (two - 1.0), (two * two - 1.0) ** 2)
 
 
 def _member(kind: ClassKind, c: CaratheodoryJet, phi: MaMindaTarget, params: PQParams) -> MemberJet:

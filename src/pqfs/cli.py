@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bernardi as bn
 from . import bounds, oracle
-from .classes import Kernel, MaMindaTarget
+from .classes import Kernel, MaMindaTarget, deformation_numbers, printed_thresholds
 from .oracle import OracleConfig, SweepEntry, VerificationRecord
 from .pq_core import DomainError, PQParams, pq_number
 
@@ -62,12 +62,12 @@ def _parse_mu_range(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _kernel(args: argparse.Namespace, params: PQParams, printed_form: bool = False) -> Kernel:
+def _kernel(args: argparse.Namespace, params: PQParams) -> Kernel:
     """The class kernel, or with --c the kernel of the Bernardi image class
     (``bernardi.image_kernel``)."""
     if args.c is None:
         return Kernel.of(args.class_kind, params)
-    return bn.image_kernel(args.class_kind, bn.BernardiParams(args.c, params), printed_form)
+    return bn.image_kernel(args.class_kind, bn.BernardiParams(args.c, params))
 
 
 def _oracle_config(args: argparse.Namespace) -> OracleConfig:
@@ -170,7 +170,13 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _cmd_thresholds(args: argparse.Namespace) -> int:
     phi = _parse_phi(args.phi)
     params = PQParams.limit(args.p, args.q)
-    t = _kernel(args, params, args.printed_thresholds).thresholds(phi, args.printed_thresholds)
+    if not args.printed_thresholds:
+        t = _kernel(args, params).thresholds(phi)
+    elif args.c is None:
+        t = printed_thresholds(args.class_kind, *deformation_numbers(params), phi)
+    else:
+        bp = bn.BernardiParams(args.c, params)
+        t = printed_thresholds(args.class_kind, *bn.effective_numbers(bp), phi)
     names = ("sigma1", "sigma2", "sigma3") if args.class_kind == "starlike" else ("rho1", "rho2", "rho3")
     if args.printed_thresholds:
         print("printed: the paper's thresholds as printed (its claim), not derived from the sharp bound")
@@ -222,23 +228,24 @@ def _limit_checks() -> list[tuple[str, float, float, float]]:
     def add(name: str, got: float, expected: float, tol: float = 1e-12) -> None:
         rows.append((name, got, expected, tol))
 
-    add("starlike max-form mu=0", bounds.fs_bound_starlike(0.0, koebe, classic).value, 3.0)
-    add("starlike max-form mu=1", bounds.fs_bound_starlike(1.0, koebe, classic).value, 1.0)
-    add("convex max-form mu=0", bounds.fs_bound_convex(0.0, koebe, classic).value, 1.0)
-    add("convex max-form mu=1", bounds.fs_bound_convex(1.0, koebe, classic).value, 1.0 / 3.0)
-    s1, s2, s3 = bounds.sigma_thresholds(koebe, classic)
+    star, convex = Kernel.of("starlike", classic), Kernel.of("convex", classic)
+    add("starlike max-form mu=0", bounds.max_form_report(star, 0.0, koebe).value, 3.0)
+    add("starlike max-form mu=1", bounds.max_form_report(star, 1.0, koebe).value, 1.0)
+    add("convex max-form mu=0", bounds.max_form_report(convex, 0.0, koebe).value, 1.0)
+    add("convex max-form mu=1", bounds.max_form_report(convex, 1.0, koebe).value, 1.0 / 3.0)
+    s1, s2, s3 = star.thresholds(koebe)
     add("sigma1", s1, 0.5)
     add("sigma2", s2, 1.0)
     add("sigma3", s3, 0.75)
-    r1, r2, r3 = bounds.rho_thresholds(koebe, classic)
+    r1, r2, r3 = convex.thresholds(koebe)
     add("rho1", r1, 2.0 / 3.0)
     add("rho2", r2, 4.0 / 3.0)
     add("rho3", r3, 1.0)
-    add("starlike piecewise mu=0", bounds.fs_piecewise_starlike(0.0, koebe, classic).value, 3.0)
-    add("starlike piecewise mu=0.75", bounds.fs_piecewise_starlike(0.75, koebe, classic).value, 1.0)
-    add("starlike piecewise mu=2", bounds.fs_piecewise_starlike(2.0, koebe, classic).value, 5.0)
-    add("convex piecewise mu=0", bounds.fs_piecewise_convex(0.0, koebe, classic).value, 1.0)
-    add("convex piecewise mu=2", bounds.fs_piecewise_convex(2.0, koebe, classic).value, 1.0)
+    add("starlike piecewise mu=0", bounds.piecewise_report(star, 0.0, koebe).value, 3.0)
+    add("starlike piecewise mu=0.75", bounds.piecewise_report(star, 0.75, koebe).value, 1.0)
+    add("starlike piecewise mu=2", bounds.piecewise_report(star, 2.0, koebe).value, 5.0)
+    add("convex piecewise mu=0", bounds.piecewise_report(convex, 0.0, koebe).value, 1.0)
+    add("convex piecewise mu=2", bounds.piecewise_report(convex, 2.0, koebe).value, 1.0)
 
     # branch agreement in the q-regime (p = 1) over a dense mu grid
     qcase = PQParams(1.0, 0.5)
@@ -252,18 +259,9 @@ def _limit_checks() -> list[tuple[str, float, float, float]]:
 
     # oracle attainment at the classical limit
     cfg = OracleConfig(grid_density=12)
-    add(
-        "oracle starlike mu=0 empirical",
-        oracle.verify_fs("starlike", 0.0, koebe, classic, cfg).empirical_max,
-        3.0,
-        1e-6,
-    )
-    add(
-        "oracle convex mu=0 empirical",
-        oracle.verify_fs("convex", 0.0, koebe, classic, cfg).empirical_max,
-        1.0,
-        1e-6,
-    )
+    for name, k, expected in (("starlike", star, 3.0), ("convex", convex, 1.0)):
+        record = oracle.max_form_check(k, 0.0, koebe, cfg)
+        add(f"oracle {name} mu=0 empirical", record.empirical_max, expected, 1e-6)
     return rows
 
 

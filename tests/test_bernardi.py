@@ -7,7 +7,6 @@ from pqfs.bernardi import (
     MAX_BERNARDI_ORDER,
     BernardiParams,
     bernardi_factor,
-    bernardi_member,
     bernardi_transform,
     bernardi_transform_integral,
     effective_numbers,
@@ -19,7 +18,7 @@ from pqfs.bernardi import (
     verify_fs_bernardi,
 )
 from pqfs.bounds import fs_bound_starlike, max_form_report, refined_inequality_lhs
-from pqfs.classes import CaratheodoryJet, MaMindaTarget, convex_member, starlike_member
+from pqfs.classes import CaratheodoryJet, MaMindaTarget, convex_member, printed_thresholds, starlike_member
 from pqfs.oracle import OracleConfig, refined_check
 from pqfs.pq_core import DomainError, PQParams, TruncatedSeries
 
@@ -187,16 +186,14 @@ class TestOperatorBounds:
         # the image kernel used to give a set that is not the paper's: the image's
         # sharp set for starlike, the plain printed set (0.9266, 2.2136, 1.5701) for convex
         bp = BernardiParams(2, PQ)
-        with pytest.raises(DomainError, match="image_kernel"):
-            image_kernel(kind, bp).thresholds(KOEBE, printed_form=True)
-        assert thresholds_bernardi(kind, KOEBE, bp, printed_form=True) == pytest.approx(paper, abs=1e-12)
+        assert printed_thresholds(kind, *effective_numbers(bp), KOEBE) == pytest.approx(paper, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["starlike", "convex"])
     def test_printed_piecewise_uses_the_printed_thresholds(self, kind):
         # the convex report used to carry the effective integers' plain thresholds
         bp = BernardiParams(1, CLASSIC)
         report = fs_piecewise_bernardi(kind, 0.8, KOEBE, bp, printed_form=True)
-        assert report.thresholds == thresholds_bernardi(kind, KOEBE, bp, printed_form=True)
+        assert report.thresholds == printed_thresholds(kind, *effective_numbers(bp), KOEBE)
 
     @pytest.mark.parametrize("c", [1, 2])
     @pytest.mark.parametrize("kind", ["starlike", "convex"])
@@ -224,10 +221,11 @@ class TestOperatorBounds:
                 assert record.status == "PASS" and record.attained
 
     def test_transformed_member_jet(self):
-        m = starlike_member(CaratheodoryJet(2, 2), KOEBE, CLASSIC)
-        sm = bernardi_member(m, BernardiParams(1, CLASSIC))
-        assert sm.a2 == pytest.approx(m.a2 * 2 / 3, abs=1e-14)
-        assert sm.a3 == pytest.approx(m.a3 * 1 / 2, abs=1e-14)
+        c = CaratheodoryJet(2, 2)
+        m = starlike_member(c, KOEBE, CLASSIC)
+        a2, a3 = image_kernel("starlike", BernardiParams(1, CLASSIC)).member(c.c1, c.c2, KOEBE)
+        assert a2 == pytest.approx(m.a2 * 2 / 3, abs=1e-14)
+        assert a3 == pytest.approx(m.a3 * 1 / 2, abs=1e-14)
 
     def test_refined_holds_on_transformed_jets(self):
         bp = BernardiParams(1, CLASSIC)
@@ -260,7 +258,7 @@ class TestOperatorBounds:
         for call in (
             lambda: fs_bound_bernardi("starlike", 0.5, KOEBE, bp),
             lambda: thresholds_bernardi("convex", KOEBE, bp),
-            lambda: thresholds_bernardi("convex", KOEBE, bp, printed_form=True),
+            lambda: printed_thresholds("convex", *effective_numbers(bp), KOEBE),
             lambda: fs_piecewise_bernardi("starlike", 0.5, KOEBE, bp),
             lambda: fs_piecewise_bernardi("starlike", 0.5, KOEBE, bp, printed_form=True),
             lambda: verify_fs_bernardi("convex", 0.5, KOEBE, bp, small),
@@ -292,7 +290,10 @@ class TestOperatorBounds:
     def test_non_finite_thresholds_rejected(self, printed):
         huge = MaMindaTarget((1e308, 1e308))
         with pytest.raises(DomainError, match="thresholds are not finite"):
-            thresholds_bernardi("convex", huge, BernardiParams(2, PQ), printed_form=printed)
+            if printed:
+                printed_thresholds("convex", *effective_numbers(BernardiParams(2, PQ)), huge)
+            else:
+                thresholds_bernardi("convex", huge, BernardiParams(2, PQ))
         with pytest.raises(DomainError, match="thresholds are not finite"):
             fs_piecewise_bernardi("starlike", 0.5, huge, BernardiParams(2, PQ), printed_form=printed)
 

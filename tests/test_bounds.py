@@ -16,7 +16,15 @@ from pqfs.bounds import (
     v_convex,
     v_starlike,
 )
-from pqfs.classes import CaratheodoryJet, Kernel, MaMindaTarget, convex_member, starlike_member
+from pqfs.classes import (
+    CaratheodoryJet,
+    Kernel,
+    MaMindaTarget,
+    convex_member,
+    deformation_numbers,
+    printed_thresholds,
+    starlike_member,
+)
 from pqfs.pq_core import DomainError, PQParams
 
 KOEBE = MaMindaTarget.koebe()
@@ -132,6 +140,12 @@ class TestMaxFormBounds:
             fs_bound_starlike(1e308, KOEBE, PQ)
 
 
+def _pq_thresholds(kind, phi, printed):
+    if printed:
+        return printed_thresholds(kind, *deformation_numbers(PQ), phi)
+    return Kernel.of(kind, PQ).thresholds(phi)
+
+
 class TestThresholds:
     def test_sigma_classical_koebe(self):
         assert sigma_thresholds(KOEBE, CLASSIC) == pytest.approx((0.5, 1.0, 0.75), abs=1e-12)
@@ -141,7 +155,7 @@ class TestThresholds:
 
     def test_rho_printed_variant(self):
         # comparison form with ([2]^2 - 1)^2 on the (b2 -+ b1) terms
-        printed = rho_thresholds(KOEBE, CLASSIC, printed_form=True)
+        printed = printed_thresholds("convex", *deformation_numbers(CLASSIC), KOEBE)
         assert printed == pytest.approx((2 / 3, 13 / 6, 17 / 12), abs=1e-12)
 
     @pytest.mark.parametrize("params", PARAM_SET)
@@ -165,13 +179,13 @@ class TestThresholds:
     def test_non_finite_thresholds_rejected(self, kind, printed):
         # b1 * b1 overflows, which would make every threshold NaN
         with pytest.raises(DomainError, match=r"not finite for b1=1e\+308, b2=1e\+308"):
-            Kernel.of(kind, PQ).thresholds(MaMindaTarget((1e308, 1e308)), printed)
+            _pq_thresholds(kind, MaMindaTarget((1e308, 1e308)), printed)
 
     @pytest.mark.parametrize("kind, printed", [("starlike", False), ("convex", False), ("convex", True)])
     def test_underflowing_b1_rejected(self, kind, printed):
         # b1 * b1 underflows to 0, which used to divide by zero
         with pytest.raises(DomainError, match=r"thresholds are not finite for b1=1e-200, b2=0"):
-            Kernel.of(kind, PQ).thresholds(MaMindaTarget((1e-200, 0.0)), printed)
+            _pq_thresholds(kind, MaMindaTarget((1e-200, 0.0)), printed)
 
     def test_piecewise_branch_needs_finite_thresholds(self):
         with pytest.raises(DomainError, match="not finite"):

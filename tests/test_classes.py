@@ -14,6 +14,7 @@ from pqfs.classes import (
     caratheodory_from_schwarz,
     convex_member,
     deformation_numbers,
+    printed_thresholds,
     sample_schwarz_jet,
     schwarz_jets_from_rows,
     starlike_member,
@@ -197,19 +198,15 @@ class TestScaledKernel:
             Kernel.of("convex", PQ).scaled(L2, L3)
 
 
-def _generator_thresholds(k: Kernel, phi: MaMindaTarget, printed_form: bool = False):
+def _generator_thresholds(k: Kernel, phi: MaMindaTarget, printed: tuple[float, float] | None = None):
     """``Kernel.thresholds`` as written with generator expressions over
-    t = 0, 1, 1/2 and (2t - 1) b1, before its numerators were spelled out."""
+    t = 0, 1, 1/2 and (2t - 1) b1, before its numerators were spelled out;
+    with ``printed`` = ([2], [3]) of k, ``printed_thresholds``."""
     b1, b2 = phi.b1, phi.b2
     if not (b1 > 0.0 and b2 >= 0.0):
         raise DomainError(f"piecewise thresholds need b1 > 0 and b2 >= 0, got b1={b1:g}, b2={b2:g}")
-    if printed_form and k.two is None:
-        raise DomainError(
-            "printed thresholds need the deformed integers, which a scaled kernel does not "
-            "keep; for the Bernardi image use image_kernel(..., printed_form=True)"
-        )
-    if printed_form and k.kind == "convex":
-        two, three = k.two, k.three
+    if printed is not None and k.kind == "convex":
+        two, three = printed
         den = three * (three - 1.0) * b1 * b1
         head = two * two * (two - 1.0) * b1 * b1
         fac = (two * two - 1.0) ** 2
@@ -253,14 +250,21 @@ class TestThresholdsBitForBit:
     def test_matches_the_generator_formula(self, kind, p, frac, scale, b1, b2, printed):
         q = p * frac
         try:
-            k = Kernel.of(kind, PQParams(p, q))
+            numbers = deformation_numbers(PQParams(p, q))
         except DomainError:
             return  # p + q <= 1 or [3] <= 1: no kernel
+        k = Kernel.from_numbers(kind, *numbers)
+        phi = MaMindaTarget((b1, b2))
+        if printed:
+            # the printed set is one of the deformed integers, not of a scaled kernel
+            assert _threshold_bits(lambda: printed_thresholds(kind, *numbers, phi)) == _threshold_bits(
+                lambda: _generator_thresholds(k, phi, numbers)
+            )
+            return
         if scale is not None:
             k = k.scaled(*scale)
-        phi = MaMindaTarget((b1, b2))
-        assert _threshold_bits(lambda: k.thresholds(phi, printed)) == _threshold_bits(
-            lambda: _generator_thresholds(k, phi, printed)
+        assert _threshold_bits(lambda: k.thresholds(phi)) == _threshold_bits(
+            lambda: _generator_thresholds(k, phi)
         )
 
     @pytest.mark.parametrize("kind", ["starlike", "convex"])
@@ -282,6 +286,19 @@ class TestThresholdsBitForBit:
             assert isinstance(bits, list) and bits[2] == "0x0.0p+0"
         else:
             assert refusal in bits
+
+
+class TestPrintedThresholds:
+    @pytest.mark.parametrize("params", [CLASSIC, PQ, PQParams(0.8, 0.5)])
+    @pytest.mark.parametrize(
+        "b", [(2.0, 2.0), (1.0, 0.5), (1.55e-162, -0.0), (1e-200, 0.0), (1e308, 1e308), (-1.0, 1.0)]
+    )
+    def test_starlike_is_the_plain_set(self, params, b):
+        two, three = deformation_numbers(params)
+        phi = MaMindaTarget(b)
+        assert _threshold_bits(lambda: printed_thresholds("starlike", two, three, phi)) == _threshold_bits(
+            lambda: Kernel.from_numbers("starlike", two, three).thresholds(phi)
+        )
 
 
 class TestJetsFromRows:

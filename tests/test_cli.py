@@ -129,6 +129,33 @@ class TestThresholdsCommand:
         assert code == 0
         assert "rho2: 2.16666666667" in out
 
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            ("--class convex --p 1 --q 1", "0.666666666667 2.16666666667 1.41666666667"),
+            ("--class convex --p 0.9 --q 0.6", "0.926612305411 2.21357384071 1.57009307306"),
+            ("--class starlike --p 0.9 --q 0.6", "0.704225352113 1.05633802817 0.880281690141"),
+            ("--class convex --c 2 --p 0.9 --q 0.6", "0.810578060992 1.87177380076 1.34117593088"),
+            ("--class starlike --c 2 --p 0.9 --q 0.6", "0.649230769231 0.948875739645 0.799053254438"),
+        ],
+    )
+    def test_printed_output_is_pinned(self, capsys, argv, values):
+        code, out, err = run(["thresholds", *argv.split(), "--printed-thresholds"], capsys)
+        names = ("rho1", "rho2", "rho3") if "convex" in argv else ("sigma1", "sigma2", "sigma3")
+        label = "printed: the paper's thresholds as printed (its claim), not derived from the sharp bound"
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [label, *(f"{n}: {v}" for n, v in zip(names, values.split()))]
+
+    @pytest.mark.parametrize("kind", ["starlike", "convex"])
+    def test_printed_refused_where_effective_integers_are_1(self, capsys, kind):
+        argv = ["thresholds", "--class", kind, "--c", "0", "--p", "0.9", "--q", "0.6", "--printed-thresholds"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: operator bound formulas need [2]L2 > 1 and [3]L3 > 1; "
+            "got [2]L2=1, [3]L3=1 for c=0, (p, q)=(0.9, 0.6)\n"
+        )
+
     @pytest.mark.parametrize("extra", [[], ["--class", "convex", "--printed-thresholds"]])
     def test_non_finite_thresholds_exit_2(self, capsys, extra):
         code, out, err = run(["thresholds", "--phi", "1e308,1e308", "--p", "0.9", "--q", "0.6", *extra], capsys)
