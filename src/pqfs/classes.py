@@ -222,9 +222,16 @@ class Kernel(NamedTuple):
             a2 = b1 c1 / (2E),   a3 = b1 / (2A) (c2 - k c1^2),
             k = (1 - b2/b1 - b1/B) / 2.
         """
-        b1, b2 = phi.b1, phi.b2
-        k = 0.5 * (1.0 - b2 / b1 - b1 / self.B)
-        return b1 * c1 / (2.0 * self.E), b1 / (2.0 * self.A) * (c2 - k * c1 * c1)
+        alpha, k, _ = self.member_scalars(phi)
+        return phi.b1 * c1 / (2.0 * self.E), alpha * (c2 - k * c1 * c1)
+
+    def member_scalars(self, phi: MaMindaTarget) -> tuple[float, float, float]:
+        """(alpha, k, gamma) = (b1 / (2A), (1 - b2/b1 - b1/B) / 2, b1 / (2E)),
+        rounded as ``member`` uses them: a2 = gamma c1 and a3 = alpha (c2 -
+        k c1^2) in exact arithmetic, so a3 - mu a2^2 = alpha c2 + beta c1^2
+        with beta = -(alpha k + mu gamma^2)."""
+        b1 = phi.b1
+        return b1 / (2.0 * self.A), 0.5 * (1.0 - phi.b2 / b1 - b1 / self.B), b1 / (2.0 * self.E)
 
     def arg(self, mu: complex, phi: MaMindaTarget) -> complex:
         """arg = b2/b1 + (b1/B)(1 - K mu), the quantity whose modulus is

@@ -13,17 +13,20 @@ bit.  Seeded random interior jets, between the grid and the extremal
 jets, are an opt-in check of the rim argument itself
 (``OracleConfig.random_samples``, 0 by default).
 
-The sample set is one cached, read-only set of arrays (its jets and their
-Caratheodory data c1, c2, for the last config used; without random jets
-it does not depend on the seed).  Every functional is evaluated block by
-block over views of at most ``BLOCK`` jets, and a sweep evaluates all its
-mu on each block in one pass, so no check allocates an array as long as
-the sample set.  A sweep evaluates |a3 - mu a2^2| only on the jets that
-can still attain a block's maximum: a quadratic in mu with a proven slack
-selects them, and the records are bit-identical to those of one check per
-mu (``_sweep_argmax``) where numpy rounds a gathered jet as it does in
-the whole block, which ``test_gathered_functional_equals_the_full_block``
-checks.
+The sample set is one cached, read-only set of arrays (its jets, their
+Caratheodory data c1, c2 and five real rows of (c1, c2), for the last
+config used; without random jets it does not depend on the seed).  Every
+check, single or sweep, goes through one prefilter
+(``_prefiltered_argmax``) block by block over views of at most ``BLOCK``
+jets, so no check allocates an array as long as the sample set.  In exact
+arithmetic the squared functional of every jet is a dot product of four
+of those rows with coefficients built from mu and the kernel, so one
+matmul gives it for a block; only the jets within a proven slack of the
+block's maximum go through the member jet and the functional, and a sweep
+takes all its mu on each block in one pass.  The records are
+bit-identical to those of the plain evaluation over every jet
+(``_argmax``) where numpy rounds a gathered jet as it does in the whole
+block, which ``test_gathered_functional_equals_the_full_block`` checks.
 
 Sampling is deterministic for a fixed seed.  Record merging in sweeps is
 sequential and ordered by mu, so results are reproducible run to run.
@@ -35,7 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,6 +103,10 @@ class OracleConfig:
             raise DomainError(
                 f"random_samples must be in [0, {MAX_RANDOM_SAMPLES}], got {self.random_samples}"
             )
+        tolerance = self.tolerance
+        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+            raise DomainError(f"tolerance must be a real number, got {tolerance!r}")
+        object.__setattr__(self, "tolerance", float(tolerance))
         if not 0.0 < self.tolerance < math.inf:
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance}")
         if self.seed < 0:
@@ -160,10 +167,6 @@ class SweepEntry:
         return self.record.status
 
 
-def _caratheodory(w1: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return 2.0 * w1, 2.0 * w1 * w1 + 2.0 * w2
-
-
 #: Factor by which every grid jet is pulled inside the body.  On the rim
 #: itself the functionals round a few ulps above their closed forms; the
 #: inset keeps the grid's maximum about 1e-12 (relative) below them.
@@ -207,37 +210,80 @@ def _grid(grid_density: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=1)
 def _sample_jets(
     grid_density: int, random_samples: int, include_extremals: bool, seed: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(w1, w2, c1, c2) of the whole sample set, read-only.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray, tuple[float, float]]:
+    """((w1, w2, c1, c2), rows, top) of the whole sample set, read-only.
 
     The set is the grid (``_grid``), then ``random_samples`` random jets,
     then the extremal jets (1, 0), (0, 1) and their negatives when
     requested.  The random jets are one draw of rows of four seeded uniform
     variates through ``schwarz_jets_from_rows`` (w1 uniform on the disc,
     then w2 uniform on the disc of radius 1 - |w1|^2), so a larger budget
-    extends a smaller one.  Only the last set is kept (11,688 jets, 0.75 MB
-    by default; 6.5 MB for the grid alone at density 48).
+    extends a smaller one.  ``rows`` are the prefilter's ``_rows`` of
+    (c1, c2), and ``top`` is (max |c2|^2, max |c1|^2) over the set.  Only the
+    last set is kept (11,688 jets, 0.75 MB by default plus 0.47 MB of rows;
+    6.5 MB plus 4.1 MB for the grid alone at density 48).
     """
-    parts = [_grid(grid_density)]
+    n = grid_density
+    sizes = [(n - 2) * (n - 1) ** 2 + 2 * (n - 1), random_samples, 4 if include_extremals else 0]
+    # the kept jets come first, so that the temporaries below, freed on
+    # return, leave no hole in the heap under them
+    buffer = np.empty((4, sum(sizes)), complex)
+    jets = w1, w2, c1, c2 = tuple(buffer)
+    parts = [_grid(n)]
     if random_samples:
         parts.append(schwarz_jets_from_rows(np.random.default_rng(seed).random((random_samples, 4))))
     if include_extremals:
-        parts.append((np.array([1.0, 0.0, -1.0, 0.0], complex), np.array([0.0, 1.0, 0.0, -1.0], complex)))
-    w1, w2 = (np.concatenate(w) for w in zip(*parts))
-    jets = (w1, w2, *_caratheodory(w1, w2))
-    for a in jets:
+        parts.append(([1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]))
+    np.concatenate([p[0] for p in parts], out=w1)
+    np.concatenate([p[1] for p in parts], out=w2)
+    del parts
+    # c1 = 2 w1 and c2 = 2 w1^2 + 2 w2, with the ufuncs of those expressions
+    np.multiply(2.0, w1, out=c1)
+    np.multiply(c1, w1, out=c2)
+    np.add(c2, 2.0 * w2, out=c2)
+    rows = _rows(c1, c2)
+    for a in (buffer, *jets, rows):
         a.setflags(write=False)
-    return jets
+    return jets, rows, _top(rows)
 
 
 def _caratheodory_samples(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(w1, w2, c1, c2) of the sample set of ``cfg``.  The seed only
     matters with random jets, so without them every seed shares one set."""
+    return _sample_set(cfg)[0]
+
+
+def _sample_set(cfg: OracleConfig) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[float, float]]:
+    """The cached ``_sample_jets`` entry of ``cfg``: its jets, rows and top."""
     seed = cfg.seed if cfg.random_samples else None
     return _sample_jets(cfg.grid_density, cfg.random_samples, cfg.include_extremals, seed)
 
 
+def _rows(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """The real rows of jets (c1, c2) that the prefilter's quadratic reads,
+    one (5, n) array: |c2|^2, Re(conj(c2) c1^2), Im(conj(c2) c1^2),
+    |c1^2|^2 and |c1|^2.  Built ``BLOCK`` jets at a time, so that no
+    temporary grows with the set."""
+    rows = np.empty((5, c1.size))
+    for lo in range(0, c1.size, BLOCK):
+        x, y, r = c1[lo : lo + BLOCK], c2[lo : lo + BLOCK], rows[:, lo : lo + BLOCK]
+        s = x * x
+        np.add(y.real * y.real, y.imag * y.imag, out=r[0])
+        np.add(y.real * s.real, y.imag * s.imag, out=r[1])
+        np.subtract(y.real * s.imag, y.imag * s.real, out=r[2])
+        np.add(s.real * s.real, s.imag * s.imag, out=r[3])
+        np.add(x.real * x.real, x.imag * x.imag, out=r[4])
+    return rows
+
+
+def _top(rows: np.ndarray) -> tuple[float, float]:
+    """(max |c2|^2, max |c1|^2) of the rows; NaN if a jet is NaN."""
+    t0, t4 = rows[::4].max(axis=1).tolist()
+    return t0, t4
+
+
 Blocks = Iterator[tuple[int, np.ndarray, np.ndarray]]
+RowBlocks = Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _caratheodory_blocks(cfg: OracleConfig) -> Blocks:
@@ -248,10 +294,11 @@ def _caratheodory_blocks(cfg: OracleConfig) -> Blocks:
         yield start, c1[start : start + BLOCK], c2[start : start + BLOCK]
 
 
-def _member_blocks(k: Kernel, phi: MaMindaTarget, cfg: OracleConfig) -> Blocks:
-    """(start, a2, a3) for the blocks of ``_caratheodory_blocks``, through
-    the member jet of the kernel."""
-    return ((start, *k.member(c1, c2, phi)) for start, c1, c2 in _caratheodory_blocks(cfg))
+def _row_blocks(cfg: OracleConfig) -> RowBlocks:
+    """(start, c1, c2, rows) for the blocks of ``_caratheodory_blocks``,
+    with the view of the cached rows of the same jets."""
+    rows = _sample_set(cfg)[1]
+    return ((start, c1, c2, rows[:, start : start + c1.size]) for start, c1, c2 in _caratheodory_blocks(cfg))
 
 
 Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -262,7 +309,7 @@ def _fs_functional(mu: complex | np.ndarray) -> Functional:
     |c2 - v c1^2| over the body.  One temporary per block; its in-place
     steps are the ufuncs of ``abs(y - mu * x * x)`` in the same order, so
     the values match that expression bit for bit.  mu may also be an array
-    as long as the block, one mu per jet (the sweep's prefilter)."""
+    as long as the block, one mu per jet (a sweep's gathered jets)."""
 
     def values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         t = np.multiply(mu, x)
@@ -271,6 +318,12 @@ def _fs_functional(mu: complex | np.ndarray) -> Functional:
         return np.abs(t)
 
     return values
+
+
+def _refined_functional(penalty: float) -> Callable[[complex], Functional]:
+    """mu -> |y - mu x^2| + penalty |x|^2 of a block, through
+    ``Kernel.refined_functional``."""
+    return lambda mu: lambda x, y: Kernel.refined_functional(x, y, mu, penalty)
 
 
 def _merge(best: list[tuple[float, int]], start: int, block: Iterable[tuple[float, int]]) -> None:
@@ -303,10 +356,41 @@ def _argmax(blocks: Blocks, functionals: Sequence[Functional]) -> list[tuple[flo
     return best
 
 
-#: Relative slack of the sweep's prefilter and its absolute floor for
-#: products that underflow (see ``_sweep_argmax``).
+class _Route(NamedTuple):
+    """How a check maps the jets (c1, c2) of a block to the arrays (x, y)
+    its functional reads: in exact arithmetic x = gamma c1 and y = alpha
+    (c2 - k c1^2).  ``inv2e`` is the factor by which the rounding of an
+    underflowing product inside ``jets`` is scaled (the 1 / (2E) that the
+    member jet divides by; 0 where nothing is divided)."""
+
+    jets: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    alpha: float
+    k: float
+    gamma: float
+    inv2e: float
+
+
+def _body_jets(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return c1, c2
+
+
+#: The Caratheodory lemma checks read (c1, c2) as they are.
+_BODY = _Route(_body_jets, 1.0, 0.0, 1.0, 0.0)
+
+
+def _member_route(k: Kernel, phi: MaMindaTarget) -> _Route:
+    """The member jets (a2, a3) of the kernel k."""
+
+    def jets(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return k.member(c1, c2, phi)
+
+    return _Route(jets, *k.member_scalars(phi), 0.5 / k.E)
+
+
+#: Relative slack of the prefilter and its absolute floor for products
+#: that underflow (see ``_prefiltered_argmax``).
 _ETA = 2.0**-40
-_FLOOR = 2.0**-960
+_FLOOR = 2.0**-1000
 
 #: A chunk whose survivors are more than 1 / ``_SPARSE`` of its (mu, jet)
 #: pairs is evaluated whole: gathering costs more per pair than that saves.
@@ -317,102 +401,158 @@ _SPARSE = 8
 _Q_BLOCKS = 8
 
 
-def _sweep_argmax(blocks: Blocks, mus: Sequence[float]) -> list[tuple[float, int]]:
-    """``_argmax(blocks, [_fs_functional(mu) for mu in mus])`` for real mu,
-    bit for bit, with the exact functional evaluated only on the jets of a
-    block that can still attain its maximum.
+def _quadratic(
+    mu: complex, route: _Route, top: tuple[float, float], penalty: float | None
+) -> tuple[tuple[float, float, float, float], float, bool]:
+    """(coefficients of Q over the rows, slack, whether the prefilter may
+    take mu) for one mu; see ``_prefiltered_argmax`` for the terms.  Python
+    floats throughout: an overflow gives inf, which fails the test."""
+    _, alpha, k, gamma, e = route
+    t0, t4 = top
+    x1, x2 = math.sqrt(t4), math.sqrt(t0)
+    a, g2 = abs(alpha), gamma * gamma
+    beta = -(alpha * k + mu * g2)
+    br, bi = beta.real, beta.imag
+    coef = (alpha * alpha, 2.0 * alpha * br, -2.0 * alpha * bi, br * br + bi * bi)
+    b, m1 = abs(br) + abs(bi), abs(mu.real) + abs(mu.imag)
+    scale = a * x2 + (a * abs(k) + m1 * g2) * t4
+    p = 2.0 * abs(gamma) * x1
+    f1 = 4.0 + 2.0 * a * (x1 + 1.0) + 4.0 * p * (1.0 + m1) * (1.0 + e)
+    if penalty is not None:
+        f1 += 2.0 + 2.0 * abs(penalty) * (3.0 * p + 1.0) * (1.0 + e)
+    f2 = (
+        2.0 + a * a + 2.0 * a * b * (1.0 + 3.0 * x2) + b * b * (1.0 + 6.0 * t4)
+        + 0.5 * t0 + (1.0 + 6.0 * a) * x2 * t4 + (1.0 + 6.0 * b) * t4 * t4
+    )
+    slack = 2.0 * _ETA * scale * scale + _FLOOR * ((scale + f1) * f1 + f2)
+    if penalty is not None:
+        w = penalty * g2
+        slack = math.sqrt(slack) + _ETA * (scale + w * t4) + _FLOOR * (f1 + t4 + w)
+    fits = scale * scale < 2.0**1020 and coef[0] < 2.0**1020 and coef[3] < 2.0**1020
+    return coef, slack, fits
 
-    For a block (x, y) and X = x^2 the squared functional is a quadratic in
-    mu, |y - mu X|^2 = A - 2 mu B + mu^2 C with the real rows A = |y|^2,
-    B = Re(conj(y) X) and C = |X|^2; one matmul gives Q = [1, -2 mu, mu^2]
-    [A; B; C] for a chunk of mu.  A jet j survives when Q_j >= max Q -
-    2 s_mu, where s_mu = 2 eta (max A + mu^2 max C) + floor (1 + |mu|)^2,
-    eta = 2^-40 and floor = 2^-960.  On the survivors only, the unchanged
-    ``_fs_functional`` (the same ufuncs in the same order, with mu an
-    array) gives the values, and their maximum and first index; blocks
-    merge as in ``_argmax``.  A chunk's Q holds at most ``_Q_BLOCKS`` *
-    ``BLOCK`` doubles and its survivors are evaluated before the next
-    chunk's, so no array grows with the number of mu beyond the mu
-    themselves.
 
-    Why no maximizer is dropped: every rounded quantity here, Q_j and the
-    square of the computed value v_j alike, lies within 2 c u (A + mu^2 C)
-    + d 2^-1074 (1 + |mu|)^2 of the exact |y - mu x^2|^2, with c < 64,
-    d < 16 and u = 2^-53.  The first term is the rounding of normal
-    numbers, within c u (|y| + |mu| |x|^2)^2; the second is that of
-    products that underflow, whose absolute error of at most 2^-1075 A, B
-    and C carry into Q times 1, 2|mu| and mu^2 (where X itself underflows,
-    2ab <= u a^2 + b^2 / u splits its cross terms between the two).  So
-    each lies within s_mu, the first term with more than 100x margin and
-    the second with more than 2^100x.  A j that attains max v then has
-    Q_j >= v_j^2 - s_mu >= v_k^2 - s_mu >= Q_k - 2 s_mu for every k.
+def _prefiltered_argmax(
+    blocks: RowBlocks,
+    top: tuple[float, float],
+    mus: Sequence[complex],
+    route: _Route = _BODY,
+    penalty: float | None = None,
+) -> list[tuple[float, int]]:
+    """(max, first index) of |y - mu x^2| (with ``penalty``, of the refined
+    |y - mu x^2| + penalty |x|^2, for one mu) for each mu, over the (x, y)
+    that ``route`` makes of each block's jets: bit for bit what
+    ``_argmax`` gives over those arrays, with (x, y) built and the
+    functional evaluated only for the jets of a block that can still attain
+    its maximum.
+
+    In exact arithmetic y - mu x^2 = alpha c2 + beta c1^2 with beta =
+    -(alpha k + mu gamma^2), so the squared functional is a dot product of
+    four real rows that depend on neither mu nor the kernel, |c2|^2,
+    Re(conj(c2) c1^2), Im(conj(c2) c1^2) and |c1^2|^2 (``_rows``, cached
+    with the sample set), with [alpha^2, 2 alpha Re beta, -2 alpha Im beta,
+    |beta|^2].  One matmul gives Q over a block for a chunk of mu.  A jet
+    j survives when Q_j >= max Q - 2 s_mu; with a penalty it is
+    sqrt(Q_j) + penalty gamma^2 |c1_j|^2 that is compared, within 2 (sqrt(s_mu)
+    + eta (S + penalty gamma^2 max |c1|^2)) of its maximum.  Here
+    s_mu = 2 eta S^2 + floor ((S + F1) F1 + F2), eta = 2^-40, floor =
+    2^-1000 and S = |alpha| max |c2| + (|alpha k| + |mu| gamma^2) max |c1|^2,
+    with |Re mu| + |Im mu| for |mu|.
+    On the survivors only, the unchanged route (``Kernel.member``) and
+    functional ufuncs give the values, and their maximum and first index;
+    blocks merge as in ``_argmax``.  A chunk's Q holds at most
+    ``_Q_BLOCKS`` * ``BLOCK`` doubles and its survivors are evaluated
+    before the next chunk's, so no array grows with the number of mu
+    beyond the mu themselves.
+
+    Why no maximizer is dropped: against the exact |alpha c2 + beta c1^2|^2
+    (with the rounded alpha and k that the route uses), two rounded
+    quantities are compared.  Q_j carries the rounding of the rows, of the
+    coefficients and of the matmul; the square of the route's value v_j
+    carries the rounding of ``Kernel.member`` and of the functional.  For
+    normal numbers each is within c u S^2 of the exact square, with c <
+    256 and u = 2^-53, because every term of both is bounded by the
+    matching term of S = |alpha| |c2| + (|alpha k| + |mu| gamma^2) |c1|^2
+    (and S^2).  Products that underflow add at most 2^-1074 each, carried
+    forward by the factors that follow them: that is F1 for v_j (through
+    |alpha|, max |c1|, 2 gamma max |c1| >= |a2|, |mu|, the member jet's
+    1 / (2E) and the penalty) and F2 for Q_j (through the coefficients and
+    the rows).  So each lies within s_mu / 2 of the exact square, the
+    normal part with more than 30x margin and the underflow part with more
+    than 2^70x.  A j that attains max v then has Q_j >= v_j^2 - s_mu >=
+    v_k^2 - s_mu >= Q_k - 2 s_mu for every k; with a penalty the same holds
+    for the values, since |sqrt(Q_j) - |exact|| <= sqrt(|Q_j - exact^2|).
 
     The bound needs every square finite, and the filter pays only where it
-    drops most jets, so some mu go through ``_argmax`` unchanged: all mu of
-    a block whose largest part of x^2 lies outside [2^-450, 2^510) (NaN
-    jets, targets from |b1| near 1e75 up or below about 1e-68, where the
-    floor term outweighs mu^2 max C and subnormal rows cost tens of times
-    more than normal ones), and the mu of each chunk where max A + max
-    mu^2 max C is not below 2^1020 (inf jets, or |mu| from about 1.3e154
-    up) or more than 1 / ``_SPARSE`` of whose pairs survive (ties, or a
-    quadratic that cancels).  Rows are built only where some chunk can
-    pass: none for such a block or where every chunk holds a mu whose
-    square overflows, and no B row where no chunk fits.
+    drops most jets, so some mu go through ``_argmax`` unchanged: all mu
+    of a set whose largest |x|^2 = gamma^2 max |c1|^2 is NaN or lies
+    outside [2^-450, 2^510) (NaN jets, targets from |b1| near 1e75 up or
+    below about 1e-68, where the floor would outweigh the relative slack
+    and subnormal products cost tens of times more than normal ones), and
+    the mu of each chunk where S^2 or a coefficient is not below 2^1020
+    (inf jets, or |mu| from about 1e154 up) or more than 1 / ``_SPARSE``
+    of whose pairs survive (ties, or a quadratic that cancels).  The route
+    runs over a whole block at most once, and only for such a chunk.
 
     The values are those of the whole block only if numpy rounds an
     element the same in every array length, which
     ``test_gathered_functional_equals_the_full_block`` checks (numpy 2.4.6
-    on an AVX-512 x86_64 host).  It does for two elements and more, but
-    its in-place complex multiply takes an unfused loop on a single
-    element.  So a block of one jet (the last block of a set whose size is
-    1 mod ``BLOCK``, which random jets can give) goes through ``_argmax``
-    too, and a lone survivor is evaluated as a pair.
+    on an AVX-512 x86_64 host) for the member jet and both functionals.
+    It does for two elements and more, but its in-place complex multiply
+    takes an unfused loop on a single element.  So a block of one jet
+    (the last block of a set whose size is 1 mod ``BLOCK``, which random
+    jets can give) goes through ``_argmax`` too, and a lone survivor is
+    evaluated as a pair.
     """
-    mu = np.array(mus, float)
-    with np.errstate(over="ignore"):
-        coef = np.stack([np.ones_like(mu), -2.0 * mu, mu * mu], axis=1)
-        under = 2.0 * ((np.abs(mu) + 1.0) * 2.0**-480) ** 2  # 2 floor (1 + |mu|)^2
-    reaches: dict[int, list[float]] = {}  # per chunk length: max mu^2 of each chunk
-    best = [(-math.inf, -1)] * mu.size
+    functional = _fs_functional if penalty is None else _refined_functional(penalty)
+    t0, t4 = top
+    usable = 2.0**-450 <= route.gamma * route.gamma * t4 < 2.0**510 and t0 < 2.0**1020 and t4 < 2.0**510
+    quadratics = [_quadratic(mu, route, top, penalty) for mu in mus] if usable else []
+    coefs, slacks, fits = zip(*quadratics) if quadratics else ((), (), ())
+    coef, slack, mu = np.array(coefs), np.array(slacks), np.array(mus)
+    weight = penalty * route.gamma * route.gamma if penalty is not None else 0.0
+    best = [(-math.inf, -1)] * len(mus)
     work = np.empty(0)
-    for start, x, y in blocks:
-        n = x.size
-        chunk = min(mu.size, max(1, _Q_BLOCKS * BLOCK // n))
-        if chunk not in reaches:
-            reaches[chunk] = np.maximum.reduceat(coef[:, 2], np.arange(0, mu.size, chunk)).tolist()
-        fits = [False] * len(reaches[chunk])
-        sq = x * x
-        top_sq = float(np.abs(sq.view(float)).max())  # max C lies in [top_sq^2, 2 top_sq^2]
-        if n > 1 and min(reaches[chunk]) < math.inf and 2.0**-450 <= top_sq < 2.0**510:
-            if work.size < (3 + chunk) * n:
-                # one buffer for [A; B; C] and Q per call: arrays this large come
-                # from fresh pages on each allocation, which costs more than the sums
-                work = np.empty((3 + chunk) * n)
-            abc = work[: 3 * n].reshape(3, n)
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.add(y.real * y.real, y.imag * y.imag, out=abc[0])
-                np.add(sq.real * sq.real, sq.imag * sq.imag, out=abc[2])
-                top_a, top_c = float(abc[0].max()), float(abc[2].max())
-                fits = [top_a + r * top_c < 2.0**1020 for r in reaches[chunk]]
-                if any(fits):
-                    np.add(y.real * sq.real, y.imag * sq.imag, out=abc[1])
-                    slack = (4.0 * _ETA) * (top_a + top_c * coef[:, 2]) + under
+    for start, c1, c2, rows in blocks:
+        n = c1.size
+        chunk = min(len(mus), max(1, _Q_BLOCKS * BLOCK // n))
+        whole = None  # the route over the whole block, built once if a chunk needs it
         block: list[tuple[float, int]] = []
-        for fit, lo in zip(fits, range(0, mu.size, chunk)):
-            hi = min(lo + chunk, mu.size)
-            if fit:
-                q = np.matmul(coef[lo:hi], abc, out=work[3 * n : (3 + hi - lo) * n].reshape(hi - lo, n))
-                # np.flatnonzero: the 2-D np.nonzero is about ten times slower
-                keep = np.flatnonzero(q >= (q.max(axis=1) - slack[lo:hi])[:, None])
-            if not fit or keep.size > q.size // _SPARSE:
-                block += _argmax([(0, x, y)], [_fs_functional(m) for m in mus[lo:hi]])
+        for lo in range(0, len(mus), chunk):
+            hi = min(lo + chunk, len(mus))
+            keep = None
+            if n > 1 and usable and all(fits[lo:hi]):
+                if work.size < chunk * n:
+                    work = np.empty(chunk * n)
+                q = np.matmul(coef[lo:hi], rows[:4], out=work[: (hi - lo) * n].reshape(hi - lo, n))
+                if hi - lo > 1:
+                    # np.flatnonzero: the 2-D np.nonzero is about ten times slower
+                    keep = np.flatnonzero(q >= (q.max(axis=1) - 2.0 * slack[lo:hi])[:, None])
+                else:
+                    v = q[0]
+                    if penalty is not None:  # compare the values themselves
+                        np.sqrt(np.maximum(v, 0.0, out=v), out=v)
+                        v += weight * rows[4]
+                    keep = (v >= v.max() - 2.0 * slack[lo]).nonzero()[0]
+                if keep.size > q.size // _SPARSE:
+                    keep = None
+            if keep is None:
+                if whole is None:
+                    whole = [(0, *route.jets(c1, c2))]
+                block += _argmax(whole, [functional(m) for m in mus[lo:hi]])
                 continue
-            row, col = np.divmod(np.repeat(keep, 2) if keep.size == 1 else keep, n)  # no lone jet
-            values = _fs_functional(mu[lo + row])(x[col], y[col])
-            starts = np.flatnonzero(np.diff(row, prepend=-1))  # every row keeps its max
-            top = np.maximum.reduceat(values, starts)
-            first = np.minimum.reduceat(np.where(values == top[row], col, n), starts)
-            block += zip(top.tolist(), first.tolist())
+            if hi - lo == 1:
+                keep = np.repeat(keep, 2) if keep.size == 1 else keep  # no lone jet
+                values = functional(mus[lo])(*route.jets(c1[keep], c2[keep]))
+                i = int(np.argmax(values))
+                block.append((float(values[i]), int(keep[i])))
+            else:
+                row, col = np.divmod(keep, n)  # every row keeps its max, so no lone jet
+                values = functional(mu[lo + row])(*route.jets(c1[col], c2[col]))
+                starts = np.searchsorted(row, np.arange(hi - lo))
+                top_v = np.maximum.reduceat(values, starts)
+                first = np.minimum.reduceat(np.where(values == top_v[row], col, n), starts)
+                block += zip(top_v.tolist(), first.tolist())
         _merge(best, start, block)
     return best
 
@@ -437,18 +577,22 @@ def _record(
 
 
 def _check(
-    blocks: Blocks, mu: complex, theoretical: float, branch: str, functional: Functional, cfg: OracleConfig
+    cfg: OracleConfig,
+    mu: complex,
+    theoretical: float,
+    branch: str,
+    route: _Route = _BODY,
+    penalty: float | None = None,
 ) -> VerificationRecord:
-    """The record of one functional maximized over the blocks."""
-    (best,) = _argmax(blocks, [functional])
+    """The record of one functional maximized over the sample set."""
+    (best,) = _prefiltered_argmax(_row_blocks(cfg), _sample_set(cfg)[2], [mu], route, penalty)
     return _record(mu, theoretical, best, branch, cfg)
 
 
 def brute_force_caratheodory_max(mu: complex, cfg: OracleConfig) -> VerificationRecord:
     """Maximize |c2 - mu c1^2| over the sampled body against the sharp
     value 2 max(1, |2 mu - 1|); mu may be complex, but must be finite."""
-    bound = ma_minda_bound(mu)
-    return _check(_caratheodory_blocks(cfg), mu, bound, BRANCH_MAX_FORM, _fs_functional(mu), cfg)
+    return _check(cfg, mu, ma_minda_bound(mu), BRANCH_MAX_FORM)
 
 
 def brute_force_caratheodory_piecewise(
@@ -462,16 +606,11 @@ def brute_force_caratheodory_piecewise(
     """
     v = _require_real(v, "v")
     if not refined:
-        bound = caratheodory_piecewise_bound(v)
-        return _check(_caratheodory_blocks(cfg), v, bound, "piecewise", _fs_functional(v), cfg)
+        return _check(cfg, v, caratheodory_piecewise_bound(v), "piecewise")
     if not 0.0 < v < 1.0:
         raise DomainError(f"refined forms need 0 < v < 1, got v={v:g}")
     weight, branch = (v, "refined_low") if v <= 0.5 else (1.0 - v, "refined_high")
-
-    def values(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        return Kernel.refined_functional(c1, c2, v, weight)
-
-    return _check(_caratheodory_blocks(cfg), v, 2.0, branch, values, cfg)
+    return _check(cfg, v, 2.0, branch, penalty=weight)
 
 
 def verify_fs(
@@ -484,9 +623,14 @@ def verify_fs(
 
 def max_form_check(k: Kernel, mu: complex, phi: MaMindaTarget, cfg: OracleConfig) -> VerificationRecord:
     """``verify_fs`` over the member jets of the kernel k, such as the
-    Bernardi image kernel."""
+    Bernardi image kernel.  Its maximum is that of |a3 - mu a2^2| over the
+    whole sample set, but the member jets are built only for the jets that
+    the prefilter keeps (``_prefiltered_argmax``): 10 to 29 of the 11,688
+    of the default set over the benchmark's inputs, the rotational ties of
+    the grid and the extremal jets, unless a scale is out of the
+    prefilter's range."""
     report = max_form_report(k, mu, phi)
-    return _check(_member_blocks(k, phi, cfg), mu, report.value, report.branch, _fs_functional(mu), cfg)
+    return _check(cfg, mu, report.value, report.branch, _member_route(k, phi))
 
 
 def verify_refined(
@@ -502,11 +646,7 @@ def refined_check(k: Kernel, mu: float, phi: MaMindaTarget, cfg: OracleConfig) -
     cap b1 / A."""
     mu = _require_real(mu)
     side, penalty = k.refined_penalty(mu, phi)
-
-    def values(a2: np.ndarray, a3: np.ndarray) -> np.ndarray:
-        return k.refined_functional(a2, a3, mu, penalty)
-
-    return _check(_member_blocks(k, phi, cfg), mu, phi.b1 / k.A, f"refined_{side}", values, cfg)
+    return _check(cfg, mu, phi.b1 / k.A, f"refined_{side}", _member_route(k, phi), penalty)
 
 
 def sweep(
@@ -524,13 +664,14 @@ def sweep(
     Non-finite endpoints or step, a step <= 0 and a range of more than
     ``MAX_SWEEP_POINTS`` points are domain errors.
 
-    The member arrays do not depend on mu, so one pass over the member
-    blocks serves every mu.  Per block, |a3 - mu a2^2|^2 is a quadratic in
-    mu, and the exact functional runs only on the jets whose quadratic
-    comes within a proven rounding slack of the block's largest
-    (``_sweep_argmax``): 84 to 612 of the 245,448 (mu, jet) pairs of 21 mu
-    over the default set of 11,688 jets.  Each record is bit-identical to
-    the one ``verify_fs`` returns for that mu wherever
+    One pass over the sample set serves every mu: the prefilter
+    (``_prefiltered_argmax``) takes each block's cached rows once per chunk
+    of mu, and builds member jets only for the (mu, jet) pairs within its
+    proven slack of their mu's maximum, 342 to 612 (median 500) of the
+    245,448 pairs of 21 mu over the default set of 11,688 jets (the
+    benchmark's sweeps).  ``verify_fs`` goes through the same prefilter, so
+    each record is the one it returns for that mu, and both are
+    bit-identical to the plain evaluation of every jet wherever
     ``test_gathered_functional_equals_the_full_block`` passes, that is
     where numpy gives a jet gathered from a block the bits it gives it in
     the whole block (checked with numpy 2.4.6 on an AVX-512 x86_64 host).
@@ -560,7 +701,8 @@ def sweep(
         except DomainError as exc:
             reports.append(exc)
     live = [mu for mu, r in zip(mus, reports) if isinstance(r, BoundReport)]
-    bests = iter(_sweep_argmax(_member_blocks(k, phi, cfg), live) if live else [])
+    route = _member_route(k, phi)
+    bests = iter(_prefiltered_argmax(_row_blocks(cfg), _sample_set(cfg)[2], live, route) if live else [])
     return [
         SweepEntry(mu=mu, record=_record(mu, r.value, next(bests), r.branch, cfg))
         if isinstance(r, BoundReport)

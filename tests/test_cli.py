@@ -235,6 +235,43 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "real mu only" in err
 
+    # Checks whose scales the oracle's prefilter does not take: the stdout
+    # of the plain per-jet path, byte for byte.  At --c 5, mu = 1e300 the
+    # record reads FAIL by one ulp of 1.85e301: passed has an absolute
+    # tolerance (a known defect, not a violated bound).
+    @pytest.mark.parametrize(
+        "args, code, stdout",
+        [
+            (
+                ["--mu=1e200"],
+                0,
+                "theoretical: 1.6e+201\nempirical:   1.6e+201\ngap:         2.71942652322e+185\n"
+                "attained:    yes\nwitness:     w1=1+0j, w2=0+0j\nstatus:      PASS\n",
+            ),
+            (
+                ["--mu=1e160j"],
+                0,
+                "theoretical: 1.6e+161\nempirical:   1.6e+161\ngap:         0\n"
+                "attained:    yes\nwitness:     w1=1+0j, w2=0+0j\nstatus:      PASS\n",
+            ),
+            (
+                ["--phi", "1e-170,0", "--mu", "0.5"],
+                0,
+                "theoretical: 1.40845070423e-170\nempirical:   1.40845070423e-170\ngap:         0\n"
+                "attained:    yes\nwitness:     w1=0+0j, w2=1+0j\nstatus:      PASS\n",
+            ),
+            (
+                ["--c", "5", "--mu=1e300"],
+                1,
+                "theoretical: 1.85441986361e+301\nempirical:   1.85441986361e+301\ngap:         -2.37922705356e+285\n"
+                "attained:    no\nwitness:     w1=1+0j, w2=0+0j\nstatus:      FAIL\n",
+            ),
+        ],
+    )
+    def test_extreme_scales_print_the_plain_records(self, capsys, args, code, stdout):
+        got = run(["verify", "--p", "0.9", "--q", "0.6", *args], capsys)
+        assert got == (code, stdout, "")
+
 
 class TestSweepCommand:
     def test_csv_schema_and_row_count(self, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqfs import oracle
-from pqfs.bernardi import BernardiParams, bernardi_factor, verify_fs_bernardi
+from pqfs.bernardi import BernardiParams, bernardi_factor, image_kernel, verify_fs_bernardi
 from pqfs.bounds import fs_bound_starlike
 from pqfs.classes import Kernel, MaMindaTarget, SchwarzJet, schwarz_jets_from_rows
 from pqfs.oracle import (
@@ -66,6 +66,18 @@ class TestConfig:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             OracleConfig(**kwargs)
+
+    @pytest.mark.parametrize("tolerance", [True, "1e-9", 1j, None])
+    def test_tolerance_must_be_a_real_number(self, tolerance):
+        # True is an int and would be stored as a tolerance of 1; the others
+        # failed with a bare TypeError in the range comparison
+        with pytest.raises(DomainError, match="tolerance must be a real number"):
+            OracleConfig(tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [1, np.float32(0.5), np.float64(1e-6)])
+    def test_tolerance_is_stored_as_a_float(self, tolerance):
+        cfg = OracleConfig(tolerance=tolerance)
+        assert type(cfg.tolerance) is float and cfg.tolerance == float(tolerance)
 
     def test_budget_limits_are_inclusive(self):
         # construction only: a config samples nothing until a check runs
@@ -580,9 +592,29 @@ class TestBlockedReduction:
 
 
 class TestSweepPrefilter:
-    # oracle._sweep_argmax against the per-mu reduction it replaces in sweep
+    # oracle._prefiltered_argmax against the plain reduction it replaces in
+    # every check: the sweep's many mu, and one mu (real, complex, refined)
     CHUNK = oracle._Q_BLOCKS  # mu per chunk on a block of BLOCK jets
     SPECIALS = ["repeats", "extremals", "zeros", "nan", "inf", "tiny", "big_mu", "huge_mu"]
+    # 1e150 overflows the squares, 1e-170 underflows them, 1e-161 makes
+    # them subnormal, 1e-81 makes |x^2|^2 subnormal while mu^2 |x^2|^2 is
+    # normal (all four take the plain path), 3e-68 puts |x^2| near the
+    # smallest the prefilter takes, (1e75, 1e150) keeps the squares just
+    # below overflow, and in (4e76, 2e153) they are finite but Q need not be
+    SCALES = [
+        (1.0, 1.0),
+        (1e150, 1e150),
+        (1e-170, 1e-170),
+        (1e-161, 1e-161),
+        (1e-81, 1e-81),
+        (3e-81, 1e-81),
+        (3e-68, 1e-68),
+        (1e-80, 1e-160),
+        (1e75, 1e150),
+        (4e76, 2e153),
+        (1e77, 1.0),
+        (1e-170, 1.0),
+    ]
 
     @staticmethod
     def _hex(best):
@@ -620,6 +652,23 @@ class TestSweepPrefilter:
             y[spots(1)] = math.inf
         return x, y
 
+    @staticmethod
+    def _blocks(x, y, block):
+        """The plain blocks (start, x, y), and the prefilter's blocks
+        (start, x, y, rows) with the top of the rows."""
+        rows = oracle._rows(x, y)
+        starts = range(0, x.size, block)
+        plain = [(s, x[s : s + block], y[s : s + block]) for s in starts]
+        return plain, [(s, a, b, rows[:, s : s + block]) for s, a, b in plain], oracle._top(rows)
+
+    @staticmethod
+    def _mus(rng, count, specials):
+        pool = [0.0, 0.25, 0.5, -1.0, 3.0, 1e10, -1e-300] + ([1e160] if "huge_mu" in specials else [])
+        mus = [float(rng.choice(pool)) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0) for _ in range(count)]
+        if "big_mu" in specials:  # |mu| from 1e20 to 1e150, where mu^2 scales the underflow of |x^2|^2
+            mus = [m * 10.0 ** rng.uniform(20.0, 150.0) if rng.random() < 0.5 else m for m in mus]
+        return mus
+
     @settings(max_examples=100, deadline=None)
     # a lone candidate of one mu (see the next test), and squares in the
     # subnormal range
@@ -633,63 +682,132 @@ class TestSweepPrefilter:
         seed=st.integers(0, 2**32 - 1),
         block=st.sampled_from([1, 7, 64, oracle.BLOCK]),
         mu_count=st.sampled_from([1, CHUNK - 1, CHUNK, CHUNK + 1, 100]),
-        # 1e150 overflows the squares, 1e-170 underflows them, 1e-161 makes
-        # them subnormal, 1e-81 makes |x^2|^2 subnormal while mu^2 |x^2|^2 is
-        # normal (all four take the plain path), 3e-68 puts |x^2| near the
-        # smallest the prefilter takes, (1e75, 1e150) keeps the squares just
-        # below overflow, and in (4e76, 2e153) they are finite but Q need not be
-        scales=st.sampled_from(
-            [
-                (1.0, 1.0),
-                (1e150, 1e150),
-                (1e-170, 1e-170),
-                (1e-161, 1e-161),
-                (1e-81, 1e-81),
-                (3e-81, 1e-81),
-                (3e-68, 1e-68),
-                (1e-80, 1e-160),
-                (1e75, 1e150),
-                (4e76, 2e153),
-                (1e77, 1.0),
-                (1e-170, 1.0),
-            ]
-        ),
+        scales=st.sampled_from(SCALES),
         specials=st.sets(st.sampled_from(SPECIALS)),
     )
     def test_equals_the_plain_argmax(self, seed, block, mu_count, scales, specials):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, {1: 40, 7: 60, 64: 300}.get(block, 2 * block)))
         x, y = self._data(rng, size, specials, scales)
-        pool = [0.0, 0.25, 0.5, -1.0, 3.0, 1e10, -1e-300] + ([1e160] if "huge_mu" in specials else [])
-        mus = [float(rng.choice(pool)) if rng.random() < 0.5 else rng.uniform(-3.0, 3.0) for _ in range(mu_count)]
-        if "big_mu" in specials:  # |mu| from 1e20 to 1e150, where mu^2 scales the underflow of |x^2|^2
-            mus = [m * 10.0 ** rng.uniform(20.0, 150.0) if rng.random() < 0.5 else m for m in mus]
-        blocks = [(start, x[start : start + block], y[start : start + block]) for start in range(0, size, block)]
+        mus = self._mus(rng, mu_count, specials)
         with np.errstate(all="ignore"):  # the NaN, inf and huge cases warn in both
-            got = oracle._sweep_argmax(iter(blocks), mus)
-            expected = oracle._argmax(iter(blocks), [oracle._fs_functional(mu) for mu in mus])
+            plain, blocks, top = self._blocks(x, y, block)
+            got = oracle._prefiltered_argmax(iter(blocks), top, mus)
+            expected = oracle._argmax(iter(plain), [oracle._fs_functional(mu) for mu in mus])
         assert self._hex(got) == self._hex(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @example(seed=1, block=64, form="real", scales=(1e75, 1e150), specials=set())
+    @example(seed=0, block=64, form="complex", scales=(1e-81, 1e-81), specials={"big_mu"})
+    @example(seed=0, block=64, form="complex", scales=(3e-68, 1e-68), specials={"big_mu"})
+    @example(seed=0, block=oracle.BLOCK, form="refined", scales=(1.0, 1.0), specials={"extremals"})
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 7, 64, oracle.BLOCK]),
+        form=st.sampled_from(["real", "complex", "refined"]),
+        scales=st.sampled_from(SCALES),
+        specials=st.sets(st.sampled_from(SPECIALS)),
+    )
+    def test_single_mu_equals_the_plain_argmax(self, seed, block, form, scales, specials):
+        # what every single check (verify, refined, the lemma checks) runs
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, {1: 40, 7: 60, 64: 300}.get(block, 2 * block)))
+        x, y = self._data(rng, size, specials, scales)
+        mu, penalty = self._mus(rng, 1, specials)[0], None
+        if form == "complex":
+            mu = complex(mu, self._mus(rng, 1, specials)[0])
+        if form == "refined":
+            penalty = float(rng.choice([0.0, 1e-10, 0.3, 5.0, 1e100]))
+            functional = lambda a, b: Kernel.refined_functional(a, b, mu, penalty)  # noqa: E731
+        else:
+            functional = oracle._fs_functional(mu)
+        with np.errstate(all="ignore"):
+            plain, blocks, top = self._blocks(x, y, block)
+            got = oracle._prefiltered_argmax(iter(blocks), top, [mu], penalty=penalty)
+            expected = oracle._argmax(iter(plain), [functional])
+        assert self._hex(got) == self._hex(expected)
+
+    @pytest.mark.parametrize("mu", [0.5, 0.3 + 0.4j])
+    def test_a_lone_survivor_is_evaluated_as_a_pair(self, mu):
+        # numpy rounds some jets differently alone (see the next test): make
+        # one of them the only jet that survives, beside jets at half scale,
+        # whose values are a quarter of theirs
+        rng = np.random.default_rng(5)
+        w1, w2 = schwarz_jets_from_rows(rng.random((64, 4)))
+        x, y = 2.0 * w1, 2.0 * w1 * w1 + 2.0 * w2
+        functional = oracle._fs_functional(mu)
+        full = functional(x, y)
+        alone = [j for j in range(x.size) if functional(x[j : j + 1], y[j : j + 1])[0] != full[j]]
+        j = max(alone, key=lambda i: full[i], default=int(np.argmax(full)))
+        x[np.arange(x.size) != j] *= 0.5
+        y[np.arange(y.size) != j] *= 0.25
+        plain, blocks, top = self._blocks(x, y, x.size)
+        got = oracle._prefiltered_argmax(iter(blocks), top, [mu])
+        assert self._hex(got) == self._hex(oracle._argmax(iter(plain), [functional]))
+        assert got[0][1] == j
+
+    def test_complex_mu_on_jets_without_symmetry(self):
+        # near the maximum of |c2 - mu c1^2| over the body c2 is about c1^2 / 2,
+        # where the Im(beta) term of Q vanishes; jets with c2 scaled away
+        # from it and no conjugate partner make that term count
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            x, y = self._data(rng, 2000, set(), (1.0, rng.uniform(0.5, 4.0)))
+            mu = complex(*rng.uniform(-3.0, 3.0, 2))
+            plain, blocks, top = self._blocks(x, y, oracle.BLOCK)
+            got = oracle._prefiltered_argmax(iter(blocks), top, [mu])
+            assert self._hex(got) == self._hex(oracle._argmax(iter(plain), [oracle._fs_functional(mu)])), mu
+
+    def test_refined_takes_jets_where_the_functional_vanishes(self):
+        # y = mu x^2 exactly: Q rounds to either side of 0, and its square
+        # root is taken of max(Q, 0); these jets win on their penalty term
+        rng = np.random.default_rng(6)
+        w1, w2 = schwarz_jets_from_rows(rng.random((500, 4)))
+        x, y = 2.0 * w1, 2.0 * w1 * w1 + 2.0 * w2
+        mu = 0.5
+        y[::5] = mu * x[::5] * x[::5]
+        x[::5] *= 1.5
+        y[::5] *= 2.25
+        functional = lambda a, b: Kernel.refined_functional(a, b, mu, 0.7)  # noqa: E731
+        plain, blocks, top = self._blocks(x, y, x.size)
+        got = oracle._prefiltered_argmax(iter(blocks), top, [mu], penalty=0.7)
+        assert self._hex(got) == self._hex(oracle._argmax(iter(plain), [functional]))
 
     @pytest.mark.parametrize("phi", [KOEBE, MaMindaTarget((0.7, -0.3)), MaMindaTarget((1e-170, 0.0))])
     def test_gathered_functional_equals_the_full_block(self, phi):
-        # The prefilter evaluates _fs_functional on gathered jets with an array
-        # of mu.  Its records are bit-identical to the per-mu ones only if numpy
-        # gives every element the bits it gives in the whole block with a
-        # scalar mu.  A platform where that fails must fail here, loudly,
-        # rather than change sweep records.  Lengths start at 2: on one
-        # element numpy's in-place complex multiply takes an unfused loop, so
-        # the prefilter never evaluates a lone jet.
+        # The prefilter builds member jets from gathered (c1, c2) and evaluates
+        # the functionals on them: |y - mu x^2| with an array of real mu (a
+        # sweep) or one real or complex mu (a single check), and the refined
+        # functional.  Its records are bit-identical to those of the plain
+        # path only if numpy gives every element the bits it gives in the
+        # whole block with a scalar mu.  A platform where that fails must fail
+        # here, loudly, rather than change records.  Lengths start at 2: on
+        # one element numpy's in-place complex multiply takes an unfused loop,
+        # so the prefilter never evaluates a lone jet.
         rng = np.random.default_rng(2024)
-        for kind in ("starlike", "convex"):
-            for _, x, y in oracle._member_blocks(Kernel.of(kind, PQ), phi, OracleConfig()):
-                mus = [-2.0 + 0.25 * j for j in range(21)] + rng.uniform(-3.0, 3.0, 3).tolist()
+        kernels = [Kernel.of("starlike", PQ), Kernel.of("convex", PQ), image_kernel("convex", BernardiParams(2, PQ))]
+        mus = [-2.0 + 0.25 * j for j in range(21)] + rng.uniform(-3.0, 3.0, 3).tolist()
+        complex_mus = [0.3 + 0.4j, -1.0 + 0.5j, complex(*rng.uniform(-3.0, 3.0, 2))]
+        refined = [(0.6, 0.1), (0.9, 0.3), (rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0))]
+        for route in [oracle._BODY] + [oracle._member_route(k, phi) for k in kernels]:
+            for _, c1, c2 in oracle._caratheodory_blocks(OracleConfig()):
+                x, y = route.jets(c1, c2)
                 full = np.stack([oracle._fs_functional(mu)(x, y) for mu in mus])
+                full_complex = [oracle._fs_functional(mu)(x, y) for mu in complex_mus]
+                full_refined = [Kernel.refined_functional(x, y, mu, p) for mu, p in refined]
                 for _ in range(14):
                     length = int(rng.integers(2, 20 if rng.random() < 0.5 else 3000))
                     row = np.sort(rng.integers(0, len(mus), length))
-                    col = rng.integers(0, x.size, length)
-                    got = oracle._fs_functional(np.array(mus)[row])(x[col], y[col])
-                    assert got.tobytes() == full[row, col].tobytes(), (kind, length)
+                    col = rng.integers(0, c1.size, length)
+                    gx, gy = route.jets(c1[col], c2[col])
+                    assert gx.tobytes() == x[col].tobytes() and gy.tobytes() == y[col].tobytes(), length
+                    got = oracle._fs_functional(np.array(mus)[row])(gx, gy)
+                    assert got.tobytes() == full[row, col].tobytes(), length
+                    for mu, values in zip(mus[:3] + complex_mus, [*full[:3], *full_complex]):
+                        assert oracle._fs_functional(mu)(gx, gy).tobytes() == values[col].tobytes(), (mu, length)
+                    for (mu, p), values in zip(refined, full_refined):
+                        got = Kernel.refined_functional(gx, gy, mu, p)
+                        assert got.tobytes() == values[col].tobytes(), (mu, p, length)
 
     @pytest.mark.parametrize(
         "kind, phi, params, mu_range, fallback",
@@ -722,30 +840,67 @@ class TestSweepPrefilter:
             got = (e.record.empirical_max.hex(), e.record.witness, e.record.status)
             assert got == (single.empirical_max.hex(), single.witness, single.status), e.mu
 
+    @pytest.mark.parametrize(
+        "kind, phi, params, c, mu, prefiltered",
+        [
+            ("starlike", MaMindaTarget((1e150, 0.0)), PQ, None, 0.5, False),  # squares overflow
+            ("convex", MaMindaTarget((1e-170, 0.0)), PQ, None, 0.5, False),  # |a2|^2 underflows
+            ("starlike", MaMindaTarget((3e-81, 0.0)), PQ, None, 1e100, False),  # |a2|^2 below 2^-450
+            ("starlike", MaMindaTarget((3e-68, 0.0)), PQ, None, 1e100, True),  # just above it
+            ("convex", MaMindaTarget((3e-68, 0.0)), PQ, None, 1e100, True),
+            ("starlike", KOEBE, PQ, None, 1e200, False),  # |beta|^2 overflows
+            ("starlike", KOEBE, PQ, None, 1e160j, False),
+            ("starlike", KOEBE, PQ, 5, 1e300, False),
+            ("convex", KOEBE, PQParams(1.0, 1e-10), None, 1.0, False),  # the quadratic cancels
+            ("convex", KOEBE, PQ, 2, 0.3 + 0.4j, True),
+            ("starlike", MaMindaTarget((0.7, -0.3)), PQ, None, -1.5, True),
+        ],
+    )
+    def test_extreme_single_checks(self, monkeypatch, kind, phi, params, c, mu, prefiltered):
+        # each record is the plain path's, and the table pins which path it takes
+        cfg = OracleConfig()
+        k = Kernel.of(kind, params) if c is None else image_kernel(kind, BernardiParams(c, params))
+        plain = oracle._argmax
+        members = ((s, *k.member(c1, c2, phi)) for s, c1, c2 in oracle._caratheodory_blocks(cfg))
+        (expected,) = plain(members, [oracle._fs_functional(mu)])
+        calls = []
+        monkeypatch.setattr(oracle, "_argmax", lambda b, f: calls.append(1) or plain(b, f))
+        record = oracle.max_form_check(k, mu, phi, cfg)
+        monkeypatch.undo()
+        w1, w2, _, _ = oracle._caratheodory_samples(cfg)
+        empirical, i = expected
+        assert (record.empirical_max.hex(), record.witness) == (empirical.hex(), SchwarzJet(w1[i], w2[i]))
+        assert (not calls) == prefiltered
+
     def test_only_the_chunks_with_a_huge_mu_take_the_plain_path(self, monkeypatch):
         # mu^2 overflows for the second chunk of mu only; the first still goes
         # through the prefilter, and both give the plain bits.  Full blocks
         # only: a shorter one takes all 2 CHUNK mu in one chunk.
-        members = oracle._member_blocks(Kernel.of("starlike", PQ), KOEBE, OracleConfig())
-        blocks = [b for b in members if b[1].size == oracle.BLOCK]
+        cfg = OracleConfig()
+        route = oracle._member_route(Kernel.of("starlike", PQ), KOEBE)
+        blocks = [b for b in oracle._row_blocks(cfg) if b[1].size == oracle.BLOCK]
         mus = [0.25 * j for j in range(self.CHUNK)] + [1e160] * self.CHUNK
         plain = oracle._argmax
-        expected = plain(iter(blocks), [oracle._fs_functional(mu) for mu in mus])
+        members = [(s, *route.jets(c1, c2)) for s, c1, c2, _ in blocks]
+        expected = plain(iter(members), [oracle._fs_functional(mu) for mu in mus])
         calls = []
         monkeypatch.setattr(oracle, "_argmax", lambda b, f: calls.append(len(f)) or plain(b, f))
         with np.errstate(over="ignore", invalid="ignore"):
-            got = oracle._sweep_argmax(iter(blocks), mus)
+            got = oracle._prefiltered_argmax(iter(blocks), oracle._sample_set(cfg)[2], mus, route)
         assert self._hex(got) == self._hex(expected)
         assert blocks and calls == [self.CHUNK] * len(blocks)
 
     def test_thousand_mu_allocate_a_few_blocks(self):
         # Q over all 1,000 mu of a block of BLOCK jets would be 61 MiB
-        blocks = list(oracle._member_blocks(Kernel.of("starlike", PQ), KOEBE, OracleConfig()))
+        cfg = OracleConfig()
+        route = oracle._member_route(Kernel.of("starlike", PQ), KOEBE)
+        blocks = list(oracle._row_blocks(cfg))
+        top = oracle._sample_set(cfg)[2]
         mus = np.linspace(-2.0, 3.0, 1000).tolist()
-        oracle._sweep_argmax(iter(blocks), mus)
+        oracle._prefiltered_argmax(iter(blocks), top, mus, route)
         tracemalloc.start()
         try:
-            oracle._sweep_argmax(iter(blocks), mus)
+            oracle._prefiltered_argmax(iter(blocks), top, mus, route)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
