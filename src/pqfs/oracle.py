@@ -14,17 +14,20 @@ jets, are an opt-in check of the rim argument itself
 (``OracleConfig.random_samples``, 0 by default).
 
 The sample set is one cached, read-only set of arrays (its jets, their
-Caratheodory data c1, c2 and five real rows of (c1, c2), for the last
-config used; without random jets it does not depend on the seed).  Every
-check, single or sweep, goes through one prefilter
-(``_prefiltered_argmax``) block by block over views of at most ``BLOCK``
-jets, so no check allocates an array as long as the sample set.  In exact
-arithmetic the squared functional of every jet is a dot product of four
-of those rows with coefficients built from mu and the kernel, so one
-matmul gives it for a block; only the jets within a proven slack of the
-block's maximum go through the member jet and the functional, and a sweep
-takes all its mu on each block in one pass.  The records are
-bit-identical to those of the plain evaluation over every jet
+Caratheodory data c1, c2 and a partition of them into classes, for the
+last config used; without random jets it does not depend on the seed).
+Every check, single or sweep, goes through one prefilter
+(``_prefiltered_argmax``).  In exact arithmetic the squared functional of
+a jet is a dot product of four real rows of (c1, c2) with coefficients
+built from mu and the kernel.  Every functional is unchanged by the
+rotation (w1, w2) -> (e^it w1, e^2it w2), and the grid is closed under
+some of them, so its jets fall into classes whose rows agree to about
+6e-15: 556 classes of the 11,688 default jets (``_classes``).  One matmul
+gives the quadratic over the classes' representatives for all the mu of a
+sweep; only the members of the classes within a proven slack of the
+maximum go through the member jet and the functional, a few dozen jets
+per mu.  No check allocates an array as long as the sample set.  The
+records are bit-identical to those of the plain evaluation over every jet
 (``_argmax``) where numpy rounds a gathered jet as it does in the whole
 block, which ``test_gathered_functional_equals_the_full_block`` checks.
 
@@ -207,21 +210,97 @@ def _grid(grid_density: int) -> tuple[np.ndarray, np.ndarray]:
     return w1, w2
 
 
+class _Classes(NamedTuple):
+    """A partition of a sample set's jets into classes, for the prefilter.
+
+    Class c holds the jets ``members[bounds[c] : bounds[c + 1]]``, in
+    ascending order; its first member is its representative, whose
+    ``_rows`` are column c of ``rows``.  ``spread`` is, per row, the largest
+    |row_j - row_rep| of a jet j from its representative over the set.
+    """
+
+    rows: np.ndarray
+    spread: np.ndarray
+    members: np.ndarray
+    bounds: np.ndarray
+
+
+def _classes(n: int, c1: np.ndarray, c2: np.ndarray) -> tuple[_Classes, tuple[float, float]]:
+    """The ``_Classes`` of the sample set (c1, c2) whose first jets are the
+    grid at density n, and its ``_top``.
+
+    Every functional the oracle checks is unchanged by the rotation (w1, w2)
+    -> (e^it w1, e^2it w2), and the grid is closed under the rotations by
+    2 pi / N, N = n - 1: they take the angle indices (j, k) of arg w1 and
+    arg w2 to (j + 1, k + 2) mod N.  So the grid jets are keyed (r, (k - 2j)
+    mod N), r the radius index, and each key is a class: N jets (j, (m + 2j)
+    mod N) on each ring 0 < r < n - 1, one jet per k at w1 = 0 (only j = 0
+    is in the grid), and at w2 = 0 (only k = 0) the jets j and j + N/2 when
+    N is even, else one jet per j.  The jets after the grid, random and
+    extremal, are a class each.  The members are laid out by that index
+    arithmetic (the grid's order is radius, then j, then k), with no sort:
+    556 classes at density 24 with the extremal jets, 22 * 23 on the
+    rings, 23 + 23 at the ends and 4.
+
+    The rows of the jets after the grid go straight to the
+    representatives'; the grid's rows are a temporary.  A ring's jet (j, k)
+    has the representative (0, (k - 2j) mod N), so the spread is taken a
+    few rings at a time, with no gather of the rows and temporaries under
+    glibc's mmap threshold (see ``BLOCK``): larger ones would be mapped and
+    faulted in again on every build.
+    """
+    N = n - 1
+    rings = (n - 2) * N  # classes on the rings 0 < r < n - 1
+    last = N + rings * N  # the first jet at w2 = 0
+    half = N // 2 if N % 2 == 0 else N  # classes at w2 = 0
+    grid, cut = last + N, N + rings + half  # the grid's jets and classes
+    # the kept arrays come first (see _sample_jets)
+    members = np.empty(c1.size, np.intp)
+    bounds = np.empty(cut + c1.size - grid + 1, np.intp)
+    reps = np.empty((5, bounds.size - 1))
+    members[:N] = bounds[:N] = np.arange(N)
+    j = np.arange(N)
+    pattern = j * N + (j[:, None] + 2 * j) % N  # [m, j]: jet (j, (m + 2j) mod N) of its ring
+    np.add((N + N * N * np.arange(n - 2))[:, None], pattern.ravel(), out=members[N:last].reshape(n - 2, N * N))
+    bounds[N : N + rings] = N + N * np.arange(rings)
+    members[last:grid] = (last + np.arange(half)[:, None] + half * np.arange(N // half)).ravel()
+    bounds[N + rings : cut] = last + N // half * np.arange(half)
+    members[grid:] = np.arange(grid, c1.size)
+    bounds[cut:] = np.arange(grid, c1.size + 1)
+    _rows(c1[grid:], c2[grid:], out=reps[:, cut:])
+    rows = _rows(c1[:grid], c2[:grid])
+    np.take(rows, members[bounds[:cut]], axis=1, out=reps[:, :cut])
+    ring_rows = rows[:, N:last].reshape(5, n - 2, N, N)  # [row, r, j, k]
+    ring_reps = reps[:, N : N + rings].reshape(5, n - 2, N)  # [row, r, m]
+    rep_of = (j - 2 * j[:, None]) % N  # [j, k] -> m
+    spread = np.zeros(5)
+    step = max(1, 2 * BLOCK // (5 * N * N))  # rings whose rows fit the bytes of a complex block
+    for r in range(0, n - 2, step):
+        d = np.take(ring_reps[:, r : r + step], rep_of, axis=2)
+        np.abs(np.subtract(ring_rows[:, r : r + step], d, out=d), out=d)
+        np.maximum(spread, d.reshape(5, -1).max(axis=1), out=spread)
+    if N % 2 == 0:  # at w2 = 0 the jets j and j + N/2 share a class
+        d = np.abs(rows[:, last + half : grid] - rows[:, last : last + half])
+        np.maximum(spread, d.max(axis=1), out=spread)
+    return _Classes(reps, spread, members, bounds), _top(rows, reps[:, cut:])
+
+
 @lru_cache(maxsize=1)
 def _sample_jets(
     grid_density: int, random_samples: int, include_extremals: bool, seed: int | None
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray, tuple[float, float]]:
-    """((w1, w2, c1, c2), rows, top) of the whole sample set, read-only.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], _Classes, tuple[float, float]]:
+    """((w1, w2, c1, c2), classes, top) of the whole sample set, read-only.
 
     The set is the grid (``_grid``), then ``random_samples`` random jets,
     then the extremal jets (1, 0), (0, 1) and their negatives when
     requested.  The random jets are one draw of rows of four seeded uniform
     variates through ``schwarz_jets_from_rows`` (w1 uniform on the disc,
     then w2 uniform on the disc of radius 1 - |w1|^2), so a larger budget
-    extends a smaller one.  ``rows`` are the prefilter's ``_rows`` of
-    (c1, c2), and ``top`` is (max |c2|^2, max |c1|^2) over the set.  Only the
-    last set is kept (11,688 jets, 0.75 MB by default plus 0.47 MB of rows;
-    6.5 MB plus 4.1 MB for the grid alone at density 48).
+    extends a smaller one.  ``classes`` is the prefilter's partition of the
+    set (``_classes``), and ``top`` is (max |c2|^2, max |c1|^2) over the set.
+    Only the last set is kept (11,688 jets, 0.75 MB by default plus 0.12 MB
+    for its 556 classes; 6.5 MB plus 0.9 MB for the grid alone at density
+    48).
     """
     n = grid_density
     sizes = [(n - 2) * (n - 1) ** 2 + 2 * (n - 1), random_samples, 4 if include_extremals else 0]
@@ -241,10 +320,10 @@ def _sample_jets(
     np.multiply(2.0, w1, out=c1)
     np.multiply(c1, w1, out=c2)
     np.add(c2, 2.0 * w2, out=c2)
-    rows = _rows(c1, c2)
-    for a in (buffer, *jets, rows):
+    classes, top = _classes(n, c1, c2)
+    for a in (buffer, *jets, *classes):
         a.setflags(write=False)
-    return jets, rows, _top(rows)
+    return jets, classes, top
 
 
 def _caratheodory_samples(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -253,18 +332,18 @@ def _caratheodory_samples(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray, np
     return _sample_set(cfg)[0]
 
 
-def _sample_set(cfg: OracleConfig) -> tuple[tuple[np.ndarray, ...], np.ndarray, tuple[float, float]]:
-    """The cached ``_sample_jets`` entry of ``cfg``: its jets, rows and top."""
+def _sample_set(cfg: OracleConfig) -> tuple[tuple[np.ndarray, ...], _Classes, tuple[float, float]]:
+    """The cached ``_sample_jets`` entry of ``cfg``: its jets, classes and top."""
     seed = cfg.seed if cfg.random_samples else None
     return _sample_jets(cfg.grid_density, cfg.random_samples, cfg.include_extremals, seed)
 
 
-def _rows(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+def _rows(c1: np.ndarray, c2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The real rows of jets (c1, c2) that the prefilter's quadratic reads,
-    one (5, n) array: |c2|^2, Re(conj(c2) c1^2), Im(conj(c2) c1^2),
-    |c1^2|^2 and |c1|^2.  Built ``BLOCK`` jets at a time, so that no
-    temporary grows with the set."""
-    rows = np.empty((5, c1.size))
+    one (5, n) array (``out`` if given): |c2|^2, Re(conj(c2) c1^2),
+    Im(conj(c2) c1^2), |c1^2|^2 and |c1|^2.  Built ``BLOCK`` jets at a time,
+    so that no other temporary grows with the set."""
+    rows = np.empty((5, c1.size)) if out is None else out
     for lo in range(0, c1.size, BLOCK):
         x, y, r = c1[lo : lo + BLOCK], c2[lo : lo + BLOCK], rows[:, lo : lo + BLOCK]
         s = x * x
@@ -276,14 +355,15 @@ def _rows(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _top(rows: np.ndarray) -> tuple[float, float]:
-    """(max |c2|^2, max |c1|^2) of the rows; NaN if a jet is NaN."""
-    t0, t4 = rows[::4].max(axis=1).tolist()
+def _top(*rows: np.ndarray) -> tuple[float, float]:
+    """(max |c2|^2, max |c1|^2) over the jets of one or more rows arrays;
+    NaN if a jet is NaN."""
+    t0, t4 = np.max([r[::4].max(axis=1, initial=0.0) for r in rows], axis=0).tolist()
     return t0, t4
 
 
 Blocks = Iterator[tuple[int, np.ndarray, np.ndarray]]
-RowBlocks = Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+RowBlocks = Iterator[tuple]
 
 
 def _caratheodory_blocks(cfg: OracleConfig) -> Blocks:
@@ -295,10 +375,11 @@ def _caratheodory_blocks(cfg: OracleConfig) -> Blocks:
 
 
 def _row_blocks(cfg: OracleConfig) -> RowBlocks:
-    """(start, c1, c2, rows) for the blocks of ``_caratheodory_blocks``,
-    with the view of the cached rows of the same jets."""
-    rows = _sample_set(cfg)[1]
-    return ((start, c1, c2, rows[:, start : start + c1.size]) for start, c1, c2 in _caratheodory_blocks(cfg))
+    """The cached sample set as the one block (0, c1, c2, rows, spread,
+    members, bounds) that ``_prefiltered_argmax`` takes: its jets with
+    their ``_Classes``."""
+    (_, _, c1, c2), classes, _ = _sample_set(cfg)
+    return iter([(0, c1, c2, *classes)])
 
 
 Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -339,14 +420,23 @@ def _merge(best: list[tuple[float, int]], start: int, block: Iterable[tuple[floa
             best[k] = (v, start + i)
 
 
+def _no_lone(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y), each repeated twice if they hold one jet: numpy's in-place
+    complex multiply takes an unfused loop on a single element, so a lone
+    jet would get other bits than inside a longer array."""
+    return (np.repeat(x, 2), np.repeat(y, 2)) if x.size == 1 else (x, y)
+
+
 def _argmax(blocks: Blocks, functionals: Sequence[Functional]) -> list[tuple[float, int]]:
     """(max, first index) of each functional over all blocks, in one pass.
 
     Each functional maps the two arrays of a block to real values; within
-    a block ``np.argmax`` picks the first maximum.
+    a block ``np.argmax`` picks the first maximum.  A block of one jet is
+    evaluated as a pair of it (``_no_lone``).
     """
     best = [(-math.inf, -1)] * len(functionals)
     for start, x, y in blocks:
+        x, y = _no_lone(x, y)
         block = []
         for functional in functionals:
             values = functional(x, y)
@@ -392,12 +482,14 @@ def _member_route(k: Kernel, phi: MaMindaTarget) -> _Route:
 _ETA = 2.0**-40
 _FLOOR = 2.0**-1000
 
-#: A chunk whose survivors are more than 1 / ``_SPARSE`` of its (mu, jet)
-#: pairs is evaluated whole: gathering costs more per pair than that saves.
+#: A mu whose kept classes hold more than 1 / ``_SPARSE`` of the jets of
+#: their class block is evaluated whole: gathering costs more per jet than
+#: that saves.
 _SPARSE = 8
 
-#: The prefilter takes mu in chunks whose quadratic Q holds at most this
-#: many times ``BLOCK`` doubles (512 KB), whatever the number of mu.
+#: The prefilter takes mu in chunks whose quadratic Q, and whose kept
+#: (mu, jet) pairs, come to at most this many times ``BLOCK`` (512 KB of Q),
+#: whatever the number of mu.
 _Q_BLOCKS = 8
 
 
@@ -432,6 +524,52 @@ def _quadratic(
     return coef, slack, fits
 
 
+def _margins(
+    coefs: Sequence[tuple[float, float, float, float]],
+    slacks: Sequence[float],
+    spread: np.ndarray,
+    weight: float | None,
+) -> np.ndarray:
+    """2 s_mu + 2 d_mu for each mu of ``coefs`` and ``slacks``, with d_mu =
+    D_mu + s_mu / 4 and D_mu = sum_i |coef_i| spread_i; with a penalty
+    ``weight`` (and its slack sigma_mu for s_mu), d_mu = sqrt(D_mu) + weight
+    spread_4 + sigma_mu / 4.  See ``_prefiltered_argmax``."""
+    s0, s1, s2, s3, s4 = spread.tolist()
+    margins = []
+    for (a0, a1, a2, a3), slack in zip(coefs, slacks):
+        d = abs(a0) * s0 + abs(a1) * s1 + abs(a2) * s2 + abs(a3) * s3
+        if weight is not None:
+            d = math.sqrt(d) + weight * s4
+        margins.append(2.5 * slack + 2.0 * d)
+    return np.array(margins)
+
+
+def _kept_classes(
+    coef: np.ndarray, margin: np.ndarray, rows: np.ndarray, weight: float | None, out: np.ndarray
+) -> np.ndarray:
+    """Flat indices i C + c of the (mu, class) pairs that the prefilter
+    keeps, for the mu of ``coef`` and ``margin`` (``_margins``) and the C
+    classes whose representatives have ``rows``: Q_c within the margin of
+    the largest, or with a penalty ``weight`` (one mu) the values sqrt(Q_c)
+    + weight |c1|^2.  ``out`` receives Q."""
+    q = np.matmul(coef, rows[:4], out=out)
+    if weight is not None:
+        np.sqrt(np.maximum(q, 0.0, out=q), out=q)
+        q += weight * rows[4]
+    return np.flatnonzero(q >= (q.max(axis=1) - margin)[:, None])
+
+
+#: The spread of a block whose every jet is a class of its own.
+_NO_SPREAD = np.zeros(5)
+
+
+def _gather(members: np.ndarray, first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The jets of the classes whose members start at ``first`` in
+    ``members`` and number ``sizes``, class by class."""
+    ends = sizes.cumsum()
+    return members[np.arange(ends[-1]) + np.repeat(first - ends + sizes, sizes)]
+
+
 def _prefiltered_argmax(
     blocks: RowBlocks,
     top: tuple[float, float],
@@ -443,27 +581,40 @@ def _prefiltered_argmax(
     |y - mu x^2| + penalty |x|^2, for one mu) for each mu, over the (x, y)
     that ``route`` makes of each block's jets: bit for bit what
     ``_argmax`` gives over those arrays, with (x, y) built and the
-    functional evaluated only for the jets of a block that can still attain
-    its maximum.
+    functional evaluated only for the jets that can still attain the
+    maximum.
+
+    A block is (start, c1, c2, rows, spread, members, bounds): its jets and
+    a ``_Classes`` partition of them, such as the cached sample set
+    (``_row_blocks``), or (start, c1, c2, rows) with the ``_rows`` of its
+    jets, each a class of its own.
 
     In exact arithmetic y - mu x^2 = alpha c2 + beta c1^2 with beta =
     -(alpha k + mu gamma^2), so the squared functional is a dot product of
     four real rows that depend on neither mu nor the kernel, |c2|^2,
-    Re(conj(c2) c1^2), Im(conj(c2) c1^2) and |c1^2|^2 (``_rows``, cached
-    with the sample set), with [alpha^2, 2 alpha Re beta, -2 alpha Im beta,
-    |beta|^2].  One matmul gives Q over a block for a chunk of mu.  A jet
-    j survives when Q_j >= max Q - 2 s_mu; with a penalty it is
-    sqrt(Q_j) + penalty gamma^2 |c1_j|^2 that is compared, within 2 (sqrt(s_mu)
-    + eta (S + penalty gamma^2 max |c1|^2)) of its maximum.  Here
-    s_mu = 2 eta S^2 + floor ((S + F1) F1 + F2), eta = 2^-40, floor =
-    2^-1000 and S = |alpha| max |c2| + (|alpha k| + |mu| gamma^2) max |c1|^2,
-    with |Re mu| + |Im mu| for |mu|.
-    On the survivors only, the unchanged route (``Kernel.member``) and
-    functional ufuncs give the values, and their maximum and first index;
-    blocks merge as in ``_argmax``.  A chunk's Q holds at most
-    ``_Q_BLOCKS`` * ``BLOCK`` doubles and its survivors are evaluated
-    before the next chunk's, so no array grows with the number of mu
-    beyond the mu themselves.
+    Re(conj(c2) c1^2), Im(conj(c2) c1^2) and |c1^2|^2 (``_rows``), with
+    coef = [alpha^2, 2 alpha Re beta, -2 alpha Im beta, |beta|^2].  Jet by
+    jet, j would survive when Q_j >= max Q - 2 s_mu; with a penalty w =
+    penalty gamma^2 it is sqrt(Q_j) + w |c1_j|^2 that is compared, within
+    2 sigma_mu = 2 (sqrt(s_mu) + eta (S + w max |c1|^2) + floor (F1 + max
+    |c1|^2 + w)) of its maximum.  Here s_mu = 2 eta S^2 + floor ((S + F1) F1
+    + F2), eta = 2^-40, floor = 2^-1000 and S = |alpha| max |c2| + (|alpha
+    k| + |mu| gamma^2) max |c1|^2, with |Re mu| + |Im mu| for |mu|.
+    The prefilter applies that rule to classes instead: one matmul gives Q
+    over the representatives of at most ``BLOCK`` classes for a chunk of
+    mu, and a class is kept when its Q is at least the largest less 2 s_mu
+    and 2 d_mu, d_mu = D_mu + s_mu / 4 with D_mu = sum_i |coef_i| spread_i
+    (``_margins``, ``_kept_classes``); with a penalty, its value within
+    2 sigma_mu and 2 (sqrt(D_mu) + w spread_4 + sigma_mu / 4) of the
+    largest.  The grid's rotation classes make this cheap: at density 24,
+    556 representatives stand for 11,688 jets.  On the members of the kept
+    classes only, the unchanged route (``Kernel.member``) and functional
+    ufuncs give the values, and their maximum and the least index that
+    attains it; across class blocks the larger maximum wins, on a tie the
+    lesser index, and blocks merge as in ``_argmax``.  A chunk's Q holds at
+    most ``_Q_BLOCKS`` * ``BLOCK`` doubles, it keeps at most as many (mu,
+    jet) pairs, and they are evaluated before the next chunk's, so no array
+    grows with the number of mu beyond the mu themselves.
 
     Why no maximizer is dropped: against the exact |alpha c2 + beta c1^2|^2
     (with the rounded alpha and k that the route uses), two rounded
@@ -483,77 +634,117 @@ def _prefiltered_argmax(
     v_k^2 - s_mu >= Q_k - 2 s_mu for every k; with a penalty the same holds
     for the values, since |sqrt(Q_j) - |exact|| <= sqrt(|Q_j - exact^2|).
 
+    Why the classes keep every jet that the rule keeps, whatever the
+    partition: let j pass the rule, c be its class and r any class of the
+    class block; Q_c and Q_r are the Q of their representatives, Q_j and
+    Q'_r the Q of those jets per jet.  Each is a dot product of coef with
+    four rows, rounded by at most rho < 2^-49 S^2 + 2^-1072 because each
+    term is bounded by the matching term of S^2.  The rows of j and of c's
+    representative differ by at most ``spread``, so |Q_j - Q_c| <= D'_mu +
+    2 rho with D'_mu = sum_i |coef_i| |row_ij - row_i,rep| <= D_mu (1 +
+    2^-48) + 2^-1071 (the rounding of D_mu), and |Q'_r - Q_r| <= 2 rho.
+    So Q_c >= Q_j - D'_mu - 2 rho >= Q'_r - 2 s_mu - D'_mu - 2 rho >= Q_r
+    - 2 s_mu - D'_mu - 4 rho >= Q_r - 2 s_mu - 2 d_mu, as 4 rho + 2^-1071
+    < s_mu / 2.  With a penalty the square roots differ by at most
+    sqrt(|Q_j - Q_c|) <= sqrt(D'_mu) + sqrt(2 rho) and sqrt(2 rho), the
+    terms w |c1|^2 by w spread_4, and the roundings of the square roots,
+    products and sums of the four values by less than 16 u (S + w max
+    |c1|^2) + 2^-1071, and sqrt(D'_mu) <= 2 sqrt(D_mu) + 2^-535; 2 sqrt(2
+    rho), 2^-535 and those roundings come to less than sigma_mu / 2, which
+    is at least sqrt(s_mu) / 2 and eta (S + w max |c1|^2) / 2.  A
+    representative is a jet, so a class of one has spread 0, and the rule
+    per jet is the finest partition.
+
     The bound needs every square finite, and the filter pays only where it
-    drops most jets, so some mu go through ``_argmax`` unchanged: all mu
-    of a set whose largest |x|^2 = gamma^2 max |c1|^2 is NaN or lies
-    outside [2^-450, 2^510) (NaN jets, targets from |b1| near 1e75 up or
-    below about 1e-68, where the floor would outweigh the relative slack
-    and subnormal products cost tens of times more than normal ones), and
-    the mu of each chunk where S^2 or a coefficient is not below 2^1020
-    (inf jets, or |mu| from about 1e154 up) or more than 1 / ``_SPARSE``
-    of whose pairs survive (ties, or a quadratic that cancels).  The route
-    runs over a whole block at most once, and only for such a chunk.
+    drops most jets, so some mu go through ``_argmax`` unchanged, once per
+    block for all of them: all mu of a set whose largest |x|^2 = gamma^2
+    max |c1|^2 is NaN or lies outside [2^-450, 2^510) (NaN jets, targets
+    from |b1| near 1e75 up or below about 1e-68, where the floor would
+    outweigh the relative slack and subnormal products cost tens of times
+    more than normal ones), each mu where S^2 or a coefficient is not
+    below 2^1020 (inf jets, or |mu| from about 1e154 up), and each mu
+    whose kept classes in a class block hold more than 1 / ``_SPARSE`` of
+    that block's jets (ties, or a quadratic that cancels).
 
     The values are those of the whole block only if numpy rounds an
     element the same in every array length, which
     ``test_gathered_functional_equals_the_full_block`` checks (numpy 2.4.6
     on an AVX-512 x86_64 host) for the member jet and both functionals.
     It does for two elements and more, but its in-place complex multiply
-    takes an unfused loop on a single element.  So a block of one jet
-    (the last block of a set whose size is 1 mod ``BLOCK``, which random
-    jets can give) goes through ``_argmax`` too, and a lone survivor is
-    evaluated as a pair.
+    takes an unfused loop on a single element.  So a block of one jet goes
+    through ``_argmax``, and ``_argmax``, the plain path and the kept jets
+    evaluate a lone jet as a pair of it (``_no_lone``).
     """
     functional = _fs_functional if penalty is None else _refined_functional(penalty)
     t0, t4 = top
     usable = 2.0**-450 <= route.gamma * route.gamma * t4 < 2.0**510 and t0 < 2.0**1020 and t4 < 2.0**510
     quadratics = [_quadratic(mu, route, top, penalty) for mu in mus] if usable else []
     coefs, slacks, fits = zip(*quadratics) if quadratics else ((), (), ())
-    coef, slack, mu = np.array(coefs), np.array(slacks), np.array(mus)
-    weight = penalty * route.gamma * route.gamma if penalty is not None else 0.0
+    coef, mu = np.array(coefs).reshape(-1, 4), np.array(mus)
+    weight = penalty * route.gamma * route.gamma if penalty is not None else None
     best = [(-math.inf, -1)] * len(mus)
     work = np.empty(0)
-    for start, c1, c2, rows in blocks:
-        n = c1.size
-        chunk = min(len(mus), max(1, _Q_BLOCKS * BLOCK // n))
-        whole = None  # the route over the whole block, built once if a chunk needs it
-        block: list[tuple[float, int]] = []
-        for lo in range(0, len(mus), chunk):
-            hi = min(lo + chunk, len(mus))
-            keep = None
-            if n > 1 and usable and all(fits[lo:hi]):
-                if work.size < chunk * n:
-                    work = np.empty(chunk * n)
-                q = np.matmul(coef[lo:hi], rows[:4], out=work[: (hi - lo) * n].reshape(hi - lo, n))
-                if hi - lo > 1:
-                    # np.flatnonzero: the 2-D np.nonzero is about ten times slower
-                    keep = np.flatnonzero(q >= (q.max(axis=1) - 2.0 * slack[lo:hi])[:, None])
+    for start, c1, c2, rows, *index in blocks:
+        n, classes = c1.size, rows.shape[1]
+        spread, members, bounds = index or (_NO_SPREAD, np.arange(n), np.arange(n + 1))
+        part = [(-math.inf, -1)] * len(mus)
+        plain = [not ok for ok in fits] if n > 1 and usable else [True] * len(mus)
+        live = [k for k, p in enumerate(plain) if not p]
+        margin = _margins(coefs, slacks, spread, weight) if live else None
+        for a in range(0, classes if live else 0, BLOCK):
+            b = min(a + BLOCK, classes)
+            size = int(bounds[b] - bounds[a])  # jets of these classes
+            chunk = max(1, _Q_BLOCKS * BLOCK // max(b - a, size // _SPARSE))
+            for lo in range(0, len(live), chunk):
+                at = live[lo : lo + chunk]
+                if work.size < len(at) * (b - a):
+                    work = np.empty(min(chunk, len(live)) * (b - a))
+                q = work[: len(at) * (b - a)].reshape(len(at), b - a)
+                keep = _kept_classes(coef[at], margin[at], rows[:, a:b], weight, q)
+                if len(at) == 1:  # one mu: no grouping of the pairs by mu
+                    (k,) = at
+                    first = bounds[keep + a]
+                    sizes = bounds[keep + a + 1] - first
+                    plain[k] = plain[k] or sizes.sum() * _SPARSE > size
+                    if plain[k]:
+                        continue
+                    jets = _gather(members, first, sizes)
+                    jets = np.repeat(jets, 2) if jets.size == 1 else np.sort(jets)
+                    values = functional(mus[k])(*route.jets(c1[jets], c2[jets]))
+                    i = int(values.argmax())
+                    found = [(k, float(values[i]), int(jets[i]))]
                 else:
-                    v = q[0]
-                    if penalty is not None:  # compare the values themselves
-                        np.sqrt(np.maximum(v, 0.0, out=v), out=v)
-                        v += weight * rows[4]
-                    keep = (v >= v.max() - 2.0 * slack[lo]).nonzero()[0]
-                if keep.size > q.size // _SPARSE:
-                    keep = None
-            if keep is None:
-                if whole is None:
-                    whole = [(0, *route.jets(c1, c2))]
-                block += _argmax(whole, [functional(m) for m in mus[lo:hi]])
-                continue
-            if hi - lo == 1:
-                keep = np.repeat(keep, 2) if keep.size == 1 else keep  # no lone jet
-                values = functional(mus[lo])(*route.jets(c1[keep], c2[keep]))
-                i = int(np.argmax(values))
-                block.append((float(values[i]), int(keep[i])))
-            else:
-                row, col = np.divmod(keep, n)  # every row keeps its max, so no lone jet
-                values = functional(mu[lo + row])(*route.jets(c1[col], c2[col]))
-                starts = np.searchsorted(row, np.arange(hi - lo))
-                top_v = np.maximum.reduceat(values, starts)
-                first = np.minimum.reduceat(np.where(values == top_v[row], col, n), starts)
-                block += zip(top_v.tolist(), first.tolist())
-        _merge(best, start, block)
+                    at = np.array(at)
+                    row, cls = np.divmod(keep, b - a)
+                    first = bounds[cls + a]
+                    sizes = bounds[cls + a + 1] - first
+                    count = np.bincount(row, sizes, minlength=at.size).astype(np.intp)
+                    dense = count * _SPARSE > size
+                    for k in at[dense].tolist():
+                        plain[k] = True
+                    kept = ~dense[row]
+                    row, first, sizes, count = row[kept], first[kept], sizes[kept], count[~dense]
+                    if not row.size:
+                        continue
+                    jets, row = _gather(members, first, sizes), np.repeat(row, sizes)
+                    if jets.size == 1:
+                        jets, row, count = np.repeat(jets, 2), np.repeat(row, 2), 2 * count
+                    values = functional(mu[at[row]])(*route.jets(c1[jets], c2[jets]))
+                    starts = count.cumsum() - count
+                    tops = np.maximum.reduceat(values, starts)
+                    firsts = np.minimum.reduceat(np.where(values == np.repeat(tops, count), jets, n), starts)
+                    found = zip(at[~dense].tolist(), tops.tolist(), firsts.tolist())
+                for k, v, i in found:
+                    if not plain[k] and (v > part[k][0] or (v == part[k][0] and i < part[k][1])):
+                        part[k] = (v, i)
+        fallback = [k for k, p in enumerate(plain) if p]
+        if fallback:
+            views = (
+                (s, *route.jets(*_no_lone(c1[s : s + BLOCK], c2[s : s + BLOCK]))) for s in range(0, n, BLOCK)
+            )
+            for k, r in zip(fallback, _argmax(views, [functional(mus[k]) for k in fallback])):
+                part[k] = r
+        _merge(best, start, part)
     return best
 
 
@@ -624,11 +815,12 @@ def verify_fs(
 def max_form_check(k: Kernel, mu: complex, phi: MaMindaTarget, cfg: OracleConfig) -> VerificationRecord:
     """``verify_fs`` over the member jets of the kernel k, such as the
     Bernardi image kernel.  Its maximum is that of |a3 - mu a2^2| over the
-    whole sample set, but the member jets are built only for the jets that
-    the prefilter keeps (``_prefiltered_argmax``): 10 to 29 of the 11,688
-    of the default set over the benchmark's inputs, the rotational ties of
-    the grid and the extremal jets, unless a scale is out of the
-    prefilter's range."""
+    whole sample set, but the member jets are built only for the members
+    of the classes that the prefilter keeps (``_prefiltered_argmax``): 25
+    of the 556 classes of the default set, 25 of its 11,688 jets, for every
+    check over the benchmark's inputs (the 23 jets at w1 = 0 or at w2 = 0,
+    which tie under rotation, and two extremal jets), unless a scale is
+    out of the prefilter's range."""
     report = max_form_report(k, mu, phi)
     return _check(cfg, mu, report.value, report.branch, _member_route(k, phi))
 
@@ -665,11 +857,12 @@ def sweep(
     ``MAX_SWEEP_POINTS`` points are domain errors.
 
     One pass over the sample set serves every mu: the prefilter
-    (``_prefiltered_argmax``) takes each block's cached rows once per chunk
-    of mu, and builds member jets only for the (mu, jet) pairs within its
-    proven slack of their mu's maximum, 342 to 612 (median 500) of the
-    245,448 pairs of 21 mu over the default set of 11,688 jets (the
-    benchmark's sweeps).  ``verify_fs`` goes through the same prefilter, so
+    (``_prefiltered_argmax``) takes the rows of the set's classes once per
+    chunk of mu, and builds member jets only for the members of the (mu,
+    class) pairs within its proven slack of their mu's maximum: 525 of the
+    11,676 pairs of 21 mu and the default set's 556 classes, 525 (mu, jet)
+    pairs of 245,448, in every one of the benchmark's sweeps.  ``verify_fs``
+    goes through the same prefilter, so
     each record is the one it returns for that mu, and both are
     bit-identical to the plain evaluation of every jet wherever
     ``test_gathered_functional_equals_the_full_block`` passes, that is

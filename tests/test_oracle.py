@@ -458,6 +458,107 @@ def test_threads_at_two_densities_match_serial_records():
     assert results == [[e] * 20 for e in expected]
 
 
+class TestRotationClasses:
+    # the prefilter's partition of the sample set (oracle._Classes)
+    @pytest.mark.parametrize("grid_density", [8, 9, 12, 24, 25, MAX_GRID_DENSITY])
+    @pytest.mark.parametrize("random_samples", [0, 300])
+    @pytest.mark.parametrize("include_extremals", [False, True])
+    def test_classes_partition_the_set(self, grid_density, random_samples, include_extremals):
+        cfg = OracleConfig(grid_density=grid_density, random_samples=random_samples, include_extremals=include_extremals)
+        (w1, w2, c1, c2), classes, top = oracle._sample_set(cfg)
+        rows, spread, members, bounds = classes
+        sizes = np.diff(bounds)
+        # every jet in exactly one class, each class's members ascending
+        assert bounds[0] == 0 and bounds[-1] == c1.size and (sizes > 0).all()
+        assert (np.sort(members) == np.arange(c1.size)).all()
+        assert (np.delete(np.diff(members), bounds[1:-1] - 1) > 0).all()
+        # the representative is the first member, and every member's rows lie
+        # within the spread of its representative's
+        full = oracle._rows(c1, c2)
+        assert rows.tobytes() == full[:, members[bounds[:-1]]].tobytes()
+        assert (np.abs(full[:, members] - np.repeat(rows, sizes, axis=1)) <= spread[:, None]).all()
+        assert top == oracle._top(full)
+        # the grid's classes are orbits of (w1, w2) -> (e^it w1, e^2it w2),
+        # and every other jet is a class of its own
+        key = np.repeat(np.arange(sizes.size), sizes)
+        for invariant in (np.abs(w1), np.abs(w2), w2 * np.conj(w1) ** 2):
+            rep = invariant[members[bounds[:-1]]]
+            assert np.allclose(invariant[members], rep[key], rtol=0.0, atol=1e-14)
+        grid = oracle._grid(grid_density)[0].size
+        assert (sizes[sizes.size - (c1.size - grid) :] == 1).all()
+        assert not any(a.flags.writeable for a in classes)
+
+    def test_default_set_has_556_classes(self):
+        # 22 rings of 23 classes, 23 jets at w1 = 0, 23 at w2 = 0, 4 extremal jets
+        _, classes, _ = oracle._sample_set(OracleConfig())
+        assert classes.rows.shape == (5, 22 * 23 + 23 + 23 + 4) and classes.members.size == 11_688
+        assert 0.0 < classes.spread.max() < 1e-13
+
+    @staticmethod
+    def _runs(rng, size):
+        """A partition of range(size) into runs of 1 to 30 consecutive jets,
+        as (members, bounds)."""
+        cuts = np.cumsum(rng.integers(1, 31, size))
+        return np.arange(size), np.concatenate([[0], cuts[cuts < size], [size]])
+
+    @staticmethod
+    def _classes(c1, c2, members, bounds):
+        full = oracle._rows(c1, c2)
+        rows = full[:, members[bounds[:-1]]]
+        spread = np.abs(full[:, members] - np.repeat(rows, np.diff(bounds), axis=1)).max(axis=1)
+        return oracle._Classes(rows, spread, members, bounds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cfg=st.sampled_from([OracleConfig(), OracleConfig(grid_density=9, random_samples=300, seed=4)]),
+        partition=st.sampled_from(["rotation", "runs"]),
+        route=st.sampled_from(["body", "starlike", "convex", "bernardi"]),
+        form=st.sampled_from(["real", "complex", "refined", "sweep"]),
+    )
+    def test_kept_classes_hold_every_jet_the_rule_keeps(self, seed, cfg, partition, route, form):
+        # per jet the rule keeps Q_j >= max Q - 2 s_mu (with a penalty, the
+        # values within 2 sigma_mu); whatever the partition, the members of
+        # the kept classes hold those jets, and the records are the plain ones
+        rng = np.random.default_rng(seed)
+        (_, _, c1, c2), classes, top = oracle._sample_set(cfg)
+        if partition == "runs":
+            classes = self._classes(c1, c2, *self._runs(rng, c1.size))
+        phi = MaMindaTarget((float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.0, 1.0))))
+        kernel = {
+            "body": None,
+            "starlike": Kernel.of("starlike", PQ),
+            "convex": Kernel.of("convex", PQ),
+            "bernardi": image_kernel("convex", BernardiParams(2, PQ)),
+        }[route]
+        r = oracle._BODY if kernel is None else oracle._member_route(kernel, phi)
+        mus, penalty = [float(rng.uniform(-3.0, 3.0))], None
+        if form == "complex":
+            mus = [complex(*rng.uniform(-3.0, 3.0, 2))]
+        if form == "refined":
+            penalty = float(rng.choice([1e-10, 0.3, 0.5, 5.0]))
+        if form == "sweep":
+            mus = np.sort(rng.uniform(-3.0, 3.0, 21)).tolist()
+        weight = None if penalty is None else penalty * r.gamma * r.gamma
+        full = oracle._rows(c1, c2)
+        for mu in mus:
+            coef, slack, fits = oracle._quadratic(mu, r, top, penalty)
+            assert fits
+            v = np.array(coef) @ full[:4]
+            if weight is not None:
+                v = np.sqrt(np.maximum(v, 0.0)) + weight * full[4]
+            rule = np.flatnonzero(v >= v.max() - 2.0 * slack)
+            out = np.empty((1, classes.rows.shape[1]))
+            margin = oracle._margins([coef], [slack], classes.spread, weight)
+            kept = oracle._kept_classes(np.array([coef]), margin, classes.rows, weight, out)
+            held = oracle._gather(classes.members, classes.bounds[kept], np.diff(classes.bounds)[kept])
+            assert np.isin(rule, held).all()
+        functional = oracle._fs_functional if penalty is None else oracle._refined_functional(penalty)
+        plain = oracle._argmax(((s, *r.jets(a, b)) for s, a, b in oracle._caratheodory_blocks(cfg)), [functional(mu) for mu in mus])
+        got = oracle._prefiltered_argmax(iter([(0, c1, c2, *classes)]), top, mus, r, penalty)
+        assert [(v.hex(), i) for v, i in got] == [(v.hex(), i) for v, i in plain]
+
+
 class TestPlainArgmaxReference:
     # every check against np.argmax over the whole sample set at once
     CFG = OracleConfig(grid_density=10, random_samples=700, seed=5)
@@ -554,6 +655,25 @@ class TestBlockedReduction:
             got = oracle._argmax(blocks(size), [lambda x, y: x, lambda x, y: np.nan_to_num(y)])
             assert got[0][1] == int(np.argmax(data)) == 5 and math.isnan(got[0][0])
             assert got[1] == (3.0, 1)
+
+    @pytest.mark.parametrize("mu", [0.5, 0.3 + 0.4j])
+    def test_argmax_evaluates_a_lone_jet_as_a_pair(self, mu):
+        # numpy's in-place complex multiply rounds some jets differently on a
+        # one-element array: make one of them the maximum, then blocks of one
+        # jet must give the bits of one whole block
+        rng = np.random.default_rng(5)
+        w1, w2 = schwarz_jets_from_rows(rng.random((400, 4)))
+        x, y = 2.0 * w1, 2.0 * w1 * w1 + 2.0 * w2
+        functional = oracle._fs_functional(mu)
+        full = functional(x, y)
+        alone = [j for j in range(x.size) if functional(x[j : j + 1], y[j : j + 1])[0] != full[j]]
+        j = max(alone, key=lambda i: full[i], default=int(np.argmax(full)))
+        x[np.arange(x.size) != j] *= 0.5
+        y[np.arange(y.size) != j] *= 0.25
+        whole = oracle._argmax(iter([(0, x, y)]), [functional])
+        ones = oracle._argmax(((s, x[s : s + 1], y[s : s + 1]) for s in range(x.size)), [functional])
+        assert [(v.hex(), i) for v, i in ones] == [(v.hex(), i) for v, i in whole]
+        assert whole[0][1] == j
 
     def test_no_call_allocates_a_set_sized_array(self):
         # with the sample set warm, a call holds a few blocks of BLOCK jets at
@@ -873,22 +993,27 @@ class TestSweepPrefilter:
         assert (not calls) == prefiltered
 
     def test_only_the_chunks_with_a_huge_mu_take_the_plain_path(self, monkeypatch):
-        # mu^2 overflows for the second chunk of mu only; the first still goes
-        # through the prefilter, and both give the plain bits.  Full blocks
-        # only: a shorter one takes all 2 CHUNK mu in one chunk.
+        # mu^2 overflows for the second CHUNK mu only; the first still go
+        # through the prefilter, the others through one plain pass over the
+        # set's blocks, and both give the plain bits
         cfg = OracleConfig()
         route = oracle._member_route(Kernel.of("starlike", PQ), KOEBE)
-        blocks = [b for b in oracle._row_blocks(cfg) if b[1].size == oracle.BLOCK]
         mus = [0.25 * j for j in range(self.CHUNK)] + [1e160] * self.CHUNK
         plain = oracle._argmax
-        members = [(s, *route.jets(c1, c2)) for s, c1, c2, _ in blocks]
+        members = [(s, *route.jets(c1, c2)) for s, c1, c2 in oracle._caratheodory_blocks(cfg)]
         expected = plain(iter(members), [oracle._fs_functional(mu) for mu in mus])
         calls = []
-        monkeypatch.setattr(oracle, "_argmax", lambda b, f: calls.append(len(f)) or plain(b, f))
+
+        def spy(blocks, functionals):
+            blocks = list(blocks)
+            calls.append((len(blocks), len(functionals)))
+            return plain(iter(blocks), functionals)
+
+        monkeypatch.setattr(oracle, "_argmax", spy)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = oracle._prefiltered_argmax(iter(blocks), oracle._sample_set(cfg)[2], mus, route)
+            got = oracle._prefiltered_argmax(oracle._row_blocks(cfg), oracle._sample_set(cfg)[2], mus, route)
         assert self._hex(got) == self._hex(expected)
-        assert blocks and calls == [self.CHUNK] * len(blocks)
+        assert len(members) > 1 and calls == [(len(members), self.CHUNK)]
 
     def test_thousand_mu_allocate_a_few_blocks(self):
         # Q over all 1,000 mu of a block of BLOCK jets would be 61 MiB
